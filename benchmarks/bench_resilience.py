@@ -3,12 +3,18 @@
 Two claims about the trial supervisor, recorded in
 ``BENCH_resilience.json`` at the repo root:
 
-1. **Near-zero cost when unused** — a fault-free supervised campaign
-   (retry policy armed, nothing failing) must cost within a few percent
-   of the fail-fast ``run_spec_trials`` path, because supervision adds
-   only bookkeeping around the same chunk dispatch. The gate is <3%
-   measured as the median of several alternating rounds (wall-clock
-   noise on shared CI runners exceeds the true overhead).
+1. **Near-zero cost when unused** — every campaign runs through one
+   dispatch path (``run_trial_group``); ``run_spec_trials`` runs it
+   under the fail-fast default, ``run_supervised_trials`` under
+   ``RetryPolicy()``. A fault-free supervised campaign (retry policy
+   armed, nothing failing) must cost within a few percent of the
+   fail-fast default, because the policy adds only bookkeeping around
+   the same chunk dispatch. The gate is <3%, measured as the median
+   over several rounds of the per-round CPU-time ratio, with the two
+   legs swapping which runs first every round: both run in-process, so
+   CPU time holds all of their cost, and pairing within a round cancels
+   the host-speed drift that wall-clock medians on shared runners
+   mistake for overhead. It guards the default path too.
 
 2. **Recovery beats rerunning** — a campaign where ~10% of chunks fail
    once (chaos-injected, zero backoff) must finish in well under the
@@ -17,7 +23,7 @@ Two claims about the trial supervisor, recorded in
    failed chunks, so the expected end-to-end ratio is ~(1 + f) : 2 for
    failure fraction f.
 
-Both legs verify byte-identity against the unsupervised reference —
+Both legs verify byte-identity against the fail-fast reference —
 resilience must never buy throughput with determinism.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_resilience.py``)
@@ -70,7 +76,7 @@ def run_experiment() -> dict:
     network, params = _workload()
     policy = RetryPolicy(base_delay=0.0, jitter=0.0)
 
-    def baseline():
+    def baseline():  # the one dispatch path under its fail-fast default
         return run_spec_trials(
             network,
             "algorithm3",
@@ -100,23 +106,25 @@ def run_experiment() -> dict:
     chaos = parse_chaos_spec(CHAOS_10PCT)
     assert _payload(supervised(chaos)) == reference
 
-    # Alternate baseline/supervised within each round so drift in host
-    # load hits both sides equally; gate on the median ratio.
+    def cpu_seconds(leg) -> float:
+        t0 = time.process_time()
+        leg()
+        return time.process_time() - t0
+
+    # Pair the legs within each round and swap which runs first every
+    # round, so host-speed drift hits both sides equally; gate on the
+    # median of the per-round ratios.
     base_times, sup_times, chaos_times = [], [], []
-    for _ in range(ROUNDS):
-        t0 = time.perf_counter()
-        baseline()
-        base_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        supervised()
-        sup_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        supervised(chaos)
-        chaos_times.append(time.perf_counter() - t0)
+    for round_no in range(ROUNDS):
+        legs = [(base_times, baseline), (sup_times, supervised)]
+        for times, leg in legs if round_no % 2 == 0 else legs[::-1]:
+            times.append(cpu_seconds(leg))
+        chaos_times.append(cpu_seconds(lambda: supervised(chaos)))
 
     base_s = statistics.median(base_times)
     sup_s = statistics.median(sup_times)
     chaos_s = statistics.median(chaos_times)
+    overhead = statistics.median(s / b for b, s in zip(base_times, sup_times))
     # Fail-fast alternative to recovery: one doomed run (the failure
     # lands mid-campaign; charge the mean half) plus one clean rerun.
     fail_fast_rerun_s = 1.5 * base_s
@@ -133,7 +141,7 @@ def run_experiment() -> dict:
         "chaos": CHAOS_10PCT,
         "baseline_seconds": round(base_s, 4),
         "supervised_seconds": round(sup_s, 4),
-        "supervised_overhead_pct": round(100.0 * (sup_s / base_s - 1.0), 2),
+        "supervised_overhead_pct": round(100.0 * (overhead - 1.0), 2),
         "chaos_recovery_seconds": round(chaos_s, 4),
         "fail_fast_rerun_seconds": round(fail_fast_rerun_s, 4),
         "recovery_vs_rerun_ratio": round(chaos_s / fail_fast_rerun_s, 3),

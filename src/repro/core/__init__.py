@@ -43,7 +43,6 @@ from .neighbor_table import NeighborRecord, NeighborTable
 from .params import MAX_DRIFT_RATE, stage_length
 from .registry import (
     ASYNCHRONOUS_PROTOCOLS,
-    BATCHED_PROTOCOLS,
     PROTOCOL_SPECS,
     SYNCHRONOUS_PROTOCOLS,
     VECTORIZED_PROTOCOLS,
@@ -58,7 +57,6 @@ __all__ = [
     "ASYNCHRONOUS_PROTOCOLS",
     "AsyncFrameDiscovery",
     "AsynchronousProtocol",
-    "BATCHED_PROTOCOLS",
     "DiscoveryProtocol",
     "FlatSyncDiscovery",
     "FrameDecision",

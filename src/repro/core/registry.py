@@ -39,7 +39,6 @@ from .robust import RobustFlatDiscovery, RobustStagedDiscovery
 __all__ = [
     "ASYNCHRONOUS_PROTOCOLS",
     "AsyncFactory",
-    "BATCHED_PROTOCOLS",
     "PROTOCOL_SPECS",
     "ProtocolSpec",
     "SYNCHRONOUS_PROTOCOLS",
@@ -68,10 +67,9 @@ class ProtocolSpec:
         needs_id_space: Factory requires the id-space size ``N_max``.
         vectorized: Fits the *uniform channel + Bernoulli transmit*
             template, so the fast (numpy) engine can run it via a
-            :class:`~repro.sim.fast_slotted.VectorSchedule`.
-        batched: The trial-batched engine
-            (:class:`~repro.sim.batched.BatchedSlottedSimulator`) claims
-            support; implies ``vectorized``.
+            :class:`~repro.sim.fast_slotted.VectorSchedule` — and the
+            trial- and grid-batched engine
+            (:class:`~repro.sim.batched.GridBatchedSimulator`) with it.
     """
 
     name: str
@@ -81,17 +79,11 @@ class ProtocolSpec:
     needs_universal: bool = False
     needs_id_space: bool = False
     vectorized: bool = False
-    batched: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("sync", "async"):
             raise ConfigurationError(
                 f"protocol kind must be 'sync' or 'async', got {self.kind!r}"
-            )
-        if self.batched and not self.vectorized:
-            raise ConfigurationError(
-                f"protocol {self.name!r} claims batched support without a "
-                "vectorized schedule"
             )
 
 
@@ -104,14 +96,12 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         "paper Alg. 1: staged geometric probability sweep",
         needs_delta_est=True,
         vectorized=True,
-        batched=True,
     ),
     ProtocolSpec(
         "algorithm2",
         "sync",
         "paper Alg. 2: growing degree estimate, no knowledge",
         vectorized=True,
-        batched=True,
     ),
     ProtocolSpec(
         "algorithm3",
@@ -119,7 +109,6 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         "paper Alg. 3: flat probability, variable start times",
         needs_delta_est=True,
         vectorized=True,
-        batched=True,
     ),
     ProtocolSpec(
         "robust_staged",
@@ -127,7 +116,6 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         "1505.00267 rival: staged sweep with loss-compensating repeats",
         needs_delta_est=True,
         vectorized=True,
-        batched=True,
     ),
     ProtocolSpec(
         "robust_flat",
@@ -135,7 +123,6 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         "1505.00267 rival: flat schedule at half contention",
         needs_delta_est=True,
         vectorized=True,
-        batched=True,
     ),
     ProtocolSpec(
         "mcdis",
@@ -179,11 +166,6 @@ ASYNCHRONOUS_PROTOCOLS: Tuple[str, ...] = tuple(
 #: Synchronous protocols the fast (numpy) engine can run.
 VECTORIZED_PROTOCOLS: Tuple[str, ...] = tuple(
     spec.name for spec in PROTOCOL_SPECS if spec.vectorized
-)
-
-#: Synchronous protocols the trial-batched engine claims.
-BATCHED_PROTOCOLS: Tuple[str, ...] = tuple(
-    spec.name for spec in PROTOCOL_SPECS if spec.batched
 )
 
 

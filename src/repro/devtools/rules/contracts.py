@@ -1,7 +1,7 @@
 """C-series audit rules: cross-layer engine and plumbing parity contracts.
 
-Four engines (reference, fast, async, batched), a trial runner, a
-process-pool executor, a supervisor, a batch archiver and a CLI all
+Four engines (reference, fast, async, batched), a trial runner, the
+chunk executors, a supervisor, a batch archiver and a CLI all
 forward keyword arguments to one another. A renamed parameter or a flag
 that stops being plumbed does not fail loudly at the drift site — it
 fails three modules deeper as a runtime ``TypeError``, or worse, is
@@ -111,7 +111,6 @@ CONTRACT_FUNCTIONS: Dict[str, str] = {
     "run_synchronous": "sim.runner",
     "run_asynchronous": "sim.runner",
     "run_experiment_trial": "sim.runner",
-    "run_experiment_trials_batched": "sim.runner",
     "replay_trial": "sim.runner",
     "run_trials": "sim.runner",
     "make_clocks": "sim.runner",
@@ -122,6 +121,7 @@ CONTRACT_FUNCTIONS: Dict[str, str] = {
     "run_grid_spec_trials": "sim.parallel",
     "run_batch": "sim.batch",
     "run_supervised_trials": "resilience.supervisor",
+    "run_trial_group": "resilience.supervisor",
     "compile_plan": "faults.runtime",
     "derive_trial_seed": "sim.rng",
     "campaign_specs": "service.campaigns",
@@ -225,7 +225,7 @@ class EngineSurfaceParity(AuditRule):
     rule_id = "C601"
     title = "engine constructor keyword surfaces must stay in lockstep"
     rationale = (
-        "run_synchronous / run_experiment_trials_batched forward the "
+        "run_synchronous / run_experiment_grid_batched forward the "
         "same keywords to whichever engine the campaign selects; an "
         "engine that renames or drops one breaks the parity contract "
         "for exactly the configurations tests do not cover."
@@ -339,7 +339,7 @@ class BatchableParamsSubset(AuditRule):
     rule_id = "C603"
     title = "_BATCHABLE_PARAMS must be a subset of run_synchronous keywords"
     rationale = (
-        "run_experiment_trials_batched promises that any runner_params "
+        "run_experiment_grid_batched promises that any runner_params "
         "set drawn from _BATCHABLE_PARAMS executes identically on the "
         "batched and serial paths; a key run_synchronous does not "
         "accept makes the serial side raise while the batched side "

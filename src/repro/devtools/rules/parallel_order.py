@@ -1,6 +1,6 @@
 """P-series audit rules: parallel-ordering determinism hazards.
 
-The repo's parallel stack (``sim.parallel``, ``resilience``) promises
+The repo's dispatch path (``sim.parallel``, ``resilience``) promises
 byte-identical archives for any worker count, and the analysis layer
 turns trial lists into the tables in ``EXPERIMENTS.md``. Both promises
 die quietly the moment an *ordering* the platform does not guarantee —
@@ -28,7 +28,7 @@ audit's own filesystem walks stay honest). P505 applies to the whole
 * **P503** — ``concurrent.futures.as_completed`` consumption. Results
   arrive in completion order, which depends on scheduling; await
   futures in dispatch order and reassemble by index instead (the
-  ``sim.parallel._collect_in_order`` idiom).
+  ``resilience.executor.PooledChunkExecutor`` idiom).
 * **P504** — sorting keyed on object identity (``key=id`` /
   ``key=hash`` or a key function calling them). ``id()`` is an
   allocation address and ``hash()`` is salted for strings; both orders
@@ -243,7 +243,7 @@ class CompletionOrderConsumption(AuditRule):
         "Completion order depends on scheduling and load: results "
         "assembled from as_completed differ run to run. Await futures "
         "in dispatch order and reassemble by index "
-        "(sim.parallel._collect_in_order is the idiom)."
+        "(resilience.executor.PooledChunkExecutor is the idiom)."
     )
 
     def check(self, project: ProjectContext) -> Iterator[Finding]:

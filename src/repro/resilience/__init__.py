@@ -3,9 +3,10 @@
 Everything that keeps a long seeded campaign alive and its archives
 trustworthy when the execution substrate misbehaves:
 
-* :mod:`~repro.resilience.supervisor` — supervised trial execution:
-  per-chunk retries with seeded backoff, quarantine of trials that
-  exhaust their budget, graceful pool/vectorized degradation;
+* :mod:`~repro.resilience.supervisor` — the one dispatch path every
+  campaign runs through: fail-fast by default, or per-chunk retries
+  with seeded backoff, quarantine of trials that exhaust their budget,
+  graceful pool/vectorized degradation;
 * :mod:`~repro.resilience.executor` — the chunk-executor interface the
   supervisor dispatches through (pool, in-process, distributed);
 * :mod:`~repro.resilience.distributed` — multi-host campaign sharding:
@@ -21,8 +22,8 @@ trustworthy when the execution substrate misbehaves:
 * :mod:`~repro.resilience.chaos` — deterministic execution-layer fault
   injection for testing all of the above.
 
-The guiding invariant is inherited from :mod:`repro.sim.parallel`:
-recovery may change *how* trials execute, never *what* they compute —
+The guiding invariant: recovery may change *how* trials execute, never
+*what* they compute —
 a campaign that retried, degraded or resumed archives byte-identical
 results to one that ran clean.
 """
@@ -59,10 +60,12 @@ from .executor import ChunkExecutor, InProcessChunkExecutor, PooledChunkExecutor
 from .policy import RetryPolicy, backoff_delay
 from .supervisor import (
     ARCHIVED_EVENT_KINDS,
+    GroupEntry,
     QuarantinedTrial,
     SupervisedTrials,
     SupervisorEvent,
     run_supervised_trials,
+    run_trial_group,
 )
 from .verify import (
     ARCHIVE_SCHEMA_VERSION,
@@ -81,6 +84,7 @@ __all__ = [
     "ChunkExecutor",
     "DISTRIBUTED_BACKEND",
     "DistributedChunkExecutor",
+    "GroupEntry",
     "InProcessChunkExecutor",
     "JOURNAL_SCHEMA_VERSION",
     "JOURNAL_SUFFIX",
@@ -105,6 +109,7 @@ __all__ = [
     "load_sidecar",
     "parse_chaos_spec",
     "run_supervised_trials",
+    "run_trial_group",
     "run_worker",
     "sha256_of_bytes",
     "sha256_of_file",

@@ -51,6 +51,7 @@ import os
 import re
 import shutil
 import socket
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -279,12 +280,26 @@ class WorkQueue:
         return task_id
 
     def retract_task(self, task_id: str) -> None:
-        """Withdraw a task: spec first (workers stop seeing it), then state."""
+        """Withdraw a task: spec first (workers stop seeing it), then state.
+
+        The state directory moves to a tombstone in one atomic rename
+        before anything in it is deleted. A worker that read the task
+        just before therefore never sees a half-deleted directory (a
+        finished chunk whose done marker is already gone): its claim
+        hits the missing directory, and :meth:`write_marker` refuses it.
+        """
         try:
             self.task_path(task_id).unlink()
         except OSError:
             pass
-        shutil.rmtree(self.state_dir(task_id), ignore_errors=True)
+        tombstone = tempfile.mkdtemp(
+            prefix=f".{task_id}.", suffix=".retracted", dir=self.tasks_dir
+        )
+        try:
+            os.replace(self.state_dir(task_id), tombstone)
+        except OSError:
+            pass  # never published, or already retracted
+        shutil.rmtree(tombstone, ignore_errors=True)
 
     def list_tasks(self) -> List[str]:
         return sorted(
@@ -459,17 +474,16 @@ class QueueWorker:
             return f"{task_id}/chunk-{chunk_no}: killed"
         base_seed = task.get("base_seed")
         payload = _ChunkPayload(
-            network_json=str(task["network"]),
-            protocol=str(task["protocol"]),
-            runner_params=dict(task.get("runner_params") or {}),
+            entries=(
+                (str(task["protocol"]), dict(task.get("runner_params") or {}), indices),
+            ),
             trial_indices=indices,
             seeds=tuple(derive_trial_seed(base_seed, t) for t in indices),
-            vectorized=False,
             chaos=chaos,
             attempt=attempt,
         )
         try:
-            results = _run_chunk(payload)
+            (results,) = _run_chunk(payload, str(task["network"]))
         except Exception as exc:
             wrote = self.queue.write_marker(
                 task_id,
@@ -519,18 +533,10 @@ class DistributedChunkExecutor(ChunkExecutor):
         queue: WorkQueue,
         lease: LeasePolicy,
         *,
-        protocol: str,
-        network_json: str,
-        runner_params: Mapping[str, Any],
-        base_seed: Optional[int],
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.queue = queue
         self.lease = lease
-        self.protocol = protocol
-        self.network_json = network_json
-        self.runner_params = runner_params
-        self.base_seed = base_seed
         self._clock = clock
         self._seen: Dict[str, _Observation] = {}
         self._stole: Set[Tuple[int, int]] = set()
@@ -563,14 +569,15 @@ class DistributedChunkExecutor(ChunkExecutor):
         pending = [s for s in states if not s.done]
         if not pending:
             return
+        (entry,) = sup.entries  # a task carries one spec point
         payload: Dict[str, Any] = {
             "kind": "task",
             "schema_version": QUEUE_SCHEMA_VERSION,
-            "experiment": sup.outcome.experiment,
-            "protocol": self.protocol,
-            "network": self.network_json,
-            "runner_params": runner_params_to_jsonable(self.runner_params),
-            "base_seed": self.base_seed,
+            "experiment": entry.experiment,
+            "protocol": entry.protocol,
+            "network": sup.network_json,
+            "runner_params": runner_params_to_jsonable(entry.runner_params),
+            "base_seed": sup.base_seed,
             "chunks": [list(s.indices) for s in pending],
             "chaos": chaos_to_jsonable(sup.chaos),
         }
@@ -612,7 +619,7 @@ class DistributedChunkExecutor(ChunkExecutor):
                 results: List[DiscoveryResult] = [
                     result_from_dict(r) for r in results_json
                 ]
-                sup.record_success(state, results)
+                sup.record_success(state, [results])
             else:
                 # A resultless marker for a still-pending chunk can only
                 # be stale leftovers (e.g. re-published campaign whose
@@ -661,7 +668,7 @@ class DistributedChunkExecutor(ChunkExecutor):
                 "lease_steal",
                 f"chaos: stole the live lease of chunk {chunk_no} from "
                 f"{lease.get('worker')!r}; expect a double completion",
-                state.indices,
+                state.cells,
             )
             return True
         lease_age = self._observe(
@@ -693,7 +700,7 @@ class DistributedChunkExecutor(ChunkExecutor):
         sup.event(
             "lease_reclaim",
             f"reclaimed chunk {chunk_no} from {owner!r} ({cause})",
-            state.indices,
+            state.cells,
         )
         sup.handle_failure(
             state,
@@ -732,7 +739,7 @@ class DistributedChunkExecutor(ChunkExecutor):
             self._settle(task_id, chunk_no, state)
             return True
         try:
-            results = _run_chunk(sup.make_payload(state))
+            results = sup.run_local(state)
         except Exception as exc:
             self.queue.release(task_id, chunk_no)
             sup.handle_failure(state, exc, timed_out=False)

@@ -1,26 +1,27 @@
-"""The chunk-executor interface behind supervised trial execution.
+"""The chunk-executor interface behind every campaign.
 
-:func:`~repro.resilience.supervisor.run_supervised_trials` plans a
-campaign as a list of :class:`_ChunkState` dispatch units and a
-:class:`_Supervision` record of shared campaign state (outcome, policy,
-journal, chaos plan, backoff RNG). *How* those chunks execute is the
-executor's business, behind one interface:
+:func:`~repro.resilience.supervisor.run_trial_group` plans a group of
+spec points on one network as :class:`_ChunkState` dispatch units plus a
+:class:`_Supervision` record of shared state (per-entry outcomes and
+journals, policy, chaos plan, backoff RNG). *How* those chunks execute
+is the executor's business, behind one interface:
 
-* :class:`PooledChunkExecutor` — process-pool dispatch with per-chunk
-  retry and crash-driven degradation (the original ``_run_pooled``);
-* :class:`InProcessChunkExecutor` — the serial chunk loop with the same
-  retry/quarantine semantics (the original ``_run_in_process``);
+* :class:`PooledChunkExecutor` — process-pool dispatch, collected
+  strictly in dispatch order, with retry and crash-driven degradation;
+* :class:`InProcessChunkExecutor` — the serial chunk loop on the live
+  network object, with the same retry/quarantine semantics;
 * :class:`~repro.resilience.distributed.DistributedChunkExecutor` — the
   multi-host file-queue coordinator (lease claims, heartbeats,
   dead-lease reclamation, degradation to local execution).
 
 Executors form a degradation ladder: each one marks the chunks it
 finished ``done`` and returns; whatever is left falls through to the
-next executor (pool → in-process; distributed → in-process). Because
-every executor records results keyed by trial index through the same
-:class:`_Supervision` bookkeeping — and trial ``t`` always runs from
-``derive_trial_seed(base_seed, t)`` — the archived bytes cannot depend
-on which executor (or which host) a trial eventually succeeded on.
+next executor (pool → in-process; distributed → in-process). Every
+executor records results keyed by entry and trial index through the
+same :class:`_Supervision` bookkeeping, so the archived bytes cannot
+depend on which executor (or host) a trial eventually succeeded on.
+Without a retry policy that bookkeeping fails fast: no retry, no
+isolation re-run, no pool rebuild.
 """
 
 from __future__ import annotations
@@ -31,11 +32,24 @@ import multiprocessing
 from abc import ABC, abstractmethod
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from ..exceptions import TrialQuarantinedError
+from ..exceptions import TrialExecutionError, TrialQuarantinedError
+from ..net.network import M2HeWNetwork
+from ..net.serialization import network_to_json
 from ..sim.parallel import ParallelPlan, _ChunkPayload, _run_chunk, _wrap_failure
 from ..sim.results import DiscoveryResult
 from .chaos import ChaosPlan
@@ -44,6 +58,7 @@ from .policy import RetryPolicy, backoff_delay
 
 __all__ = [
     "ChunkExecutor",
+    "GroupEntry",
     "InProcessChunkExecutor",
     "PooledChunkExecutor",
     "QuarantinedTrial",
@@ -52,6 +67,15 @@ __all__ = [
 ]
 
 _logger = logging.getLogger("repro.resilience")
+
+
+class GroupEntry(NamedTuple):
+    """One spec point of a trial group (all entries share the network)."""
+
+    experiment: Optional[str]
+    protocol: str
+    trials: int
+    runner_params: Mapping[str, Any]
 
 
 @dataclass(frozen=True)
@@ -119,88 +143,170 @@ class SupervisedTrials:
         return sorted(self.completed.items())
 
 
+#: ``(entry index, trial indices)``: the trials of one entry a chunk runs.
+_Cell = Tuple[int, Tuple[int, ...]]
+
+
 @dataclass
 class _ChunkState:
+    """One dispatch unit: ``indices`` are its trials, ``cells`` say whose.
+
+    A per-spec chunk has one cell; a grid chunk has one per fused entry
+    (an entry skips the chunk's trials it does not have, or already
+    restored from its journal).
+    """
+
     indices: Tuple[int, ...]
+    cells: Tuple[_Cell, ...]
     attempt: int = 0
     vectorized: bool = False
     done: bool = False
 
+    @property
+    def rows(self) -> int:
+        """Trials the chunk runs, summed over its entries."""
+        return sum(len(trials) for _, trials in self.cells)
 
+
+@dataclass
 class _Supervision:
-    """Mutable campaign state shared by every chunk executor."""
+    """Mutable campaign state shared by every chunk executor.
 
-    def __init__(
-        self,
-        outcome: SupervisedTrials,
-        policy: RetryPolicy,
-        journal: Optional[TrialJournal],
-        chaos: Optional[ChaosPlan],
-        sleep: Callable[[float], None],
-        make_payload: Callable[[_ChunkState], _ChunkPayload],
-        isolate_payload: Callable[[int], _ChunkPayload],
-        jitter_rng: np.random.Generator,
-        on_progress: Optional[Callable[[int, int], None]] = None,
-    ) -> None:
-        self.outcome = outcome
-        self.policy = policy
-        self.journal = journal
-        self.chaos = chaos
-        self.sleep = sleep
-        self.make_payload = make_payload
-        self.isolate_payload = isolate_payload
-        self.on_progress = on_progress
-        self.total_retries = 0
-        self.pool_breakages = 0
-        # Constructed by the supervisor (the RNG stream's registered
-        # owner) and injected, so every executor shares one seeded
-        # backoff sequence.
-        self.jitter_rng = jitter_rng
+    One outcome and one journal (or ``None``) per entry; ``seeds[t]``
+    seeds trial ``t`` of every entry. ``policy=None`` is the fail-fast
+    policy. The backoff RNG is constructed by the supervisor (the RNG
+    stream's registered owner) and injected, so every executor shares
+    one seeded backoff sequence.
+    """
+
+    network: M2HeWNetwork
+    entries: Sequence[GroupEntry]
+    outcomes: List[SupervisedTrials]
+    seeds: Sequence[np.random.SeedSequence]
+    label: Optional[str]
+    base_seed: Optional[int]
+    policy: Optional[RetryPolicy]
+    journals: Sequence[Optional[TrialJournal]]
+    chaos: Optional[ChaosPlan]
+    sleep: Callable[[float], None]
+    jitter_rng: np.random.Generator
+    on_progress: Optional[Callable[[int, int, int], None]] = None
+    total_retries: int = 0
+    pool_breakages: int = 0
+
+    # -- execution -------------------------------------------------------
+
+    @cached_property
+    def network_json(self) -> str:
+        """The network's JSON form, encoded on first use (pool and queue only)."""
+        return network_to_json(self.network)
+
+    def payload(self, state: _ChunkState) -> _ChunkPayload:
+        """The chunk's self-contained payload (its network travels separately)."""
+        return _ChunkPayload(
+            entries=tuple(
+                (self.entries[j].protocol, self.entries[j].runner_params, trials)
+                for j, trials in state.cells
+            ),
+            trial_indices=state.indices,
+            seeds=tuple(self.seeds[t] for t in state.indices),
+            vectorized=state.vectorized,
+            chaos=self.chaos,
+            attempt=state.attempt,
+        )
+
+    def run_local(self, state: _ChunkState) -> List[List[DiscoveryResult]]:
+        """Execute a chunk in this process, on the live network object."""
+        return _run_chunk(self.payload(state), self.network)
+
+    def chaos_timeout(self, state: _ChunkState) -> bool:
+        """Fail this attempt as timed out if the chaos plan says so."""
+        if self.chaos is None or not self.chaos.times_out(state.indices, state.attempt):
+            return False
+        self.handle_failure(
+            state,
+            concurrent.futures.TimeoutError("chaos: injected chunk timeout"),
+            timed_out=True,
+        )
+        return True
 
     # -- bookkeeping ----------------------------------------------------
 
-    def event(self, kind: str, detail: str, indices: Tuple[int, ...] = ()) -> None:
-        evt = SupervisorEvent(
-            kind=kind,
-            experiment=self.outcome.experiment,
-            detail=detail,
-            trial_indices=indices,
+    def event(
+        self, kind: str, detail: str, cells: Optional[Sequence[_Cell]] = None
+    ) -> None:
+        """Record an event on the entries ``cells`` name (default: all)."""
+        targets: Sequence[_Cell] = (
+            cells if cells is not None else [(j, ()) for j in range(len(self.outcomes))]
         )
-        self.outcome.events.append(evt)
-        _logger.warning("[%s] %s: %s", self.outcome.experiment or "-", kind, detail)
+        for j, trials in targets:
+            outcome = self.outcomes[j]
+            outcome.events.append(
+                SupervisorEvent(
+                    kind=kind,
+                    experiment=outcome.experiment,
+                    detail=detail,
+                    trial_indices=tuple(trials),
+                )
+            )
+        _logger.warning("[%s] %s: %s", self.label or "-", kind, detail)
 
     def record_success(
-        self, state: _ChunkState, results: Sequence[DiscoveryResult]
+        self, state: _ChunkState, results: Sequence[Sequence[DiscoveryResult]]
     ) -> None:
-        for trial, result in zip(state.indices, results):
-            self.outcome.completed[trial] = result
-            if self.journal is not None:
-                self.journal.record(trial, result.to_dict())
+        for (j, trials), entry_results in zip(state.cells, results):
+            journal = self.journals[j]
+            for trial, result in zip(trials, entry_results):
+                self.outcomes[j].completed[trial] = result
+                if journal is not None:
+                    journal.record(trial, result.to_dict())
         state.done = True
-        self.notify_progress()
+        for j, _ in state.cells:
+            self.notify_progress(j)
 
-    def notify_progress(self) -> None:
-        """Report ``(completed, trials)`` to the observer, if any.
+    def notify_progress(self, j: int) -> None:
+        """Report entry ``j``'s ``(entry, completed, trials)`` to the observer.
 
         Fires only after the journal already holds the trials being
         reported, so an observer that checkpoints or streams on every
         call never sees state the journal has not committed.
         """
         if self.on_progress is not None:
-            self.on_progress(len(self.outcome.completed), self.outcome.trials)
+            outcome = self.outcomes[j]
+            self.on_progress(j, len(outcome.completed), outcome.trials)
 
     # -- failure handling -----------------------------------------------
+
+    def abort(
+        self, state: _ChunkState, exc: BaseException, *, timed_out: bool
+    ) -> BaseException:
+        """The fail-fast error for a chunk: typed, with replay coordinates."""
+        if isinstance(exc, TrialExecutionError):
+            # Already typed with replay info; re-wrapping would bury the
+            # original trial indices one level deep.
+            return exc
+        return _wrap_failure(
+            exc,
+            kind="timed out" if timed_out else "failed",
+            experiment=self.label,
+            indices=state.indices,
+            base_seed=self.base_seed,
+            timed_out=timed_out,
+        )
 
     def handle_failure(
         self, state: _ChunkState, exc: BaseException, *, timed_out: bool
     ) -> None:
-        """Retry, isolate or quarantine a failed chunk attempt.
+        """Abort, retry, isolate or quarantine a failed chunk attempt.
 
-        Sets ``state.done`` when the chunk will not be re-dispatched
-        (its trials were recovered in isolation or quarantined); leaves
-        it pending — with ``attempt`` advanced and the backoff already
+        Raises at once under the fail-fast policy. Otherwise sets
+        ``state.done`` when the chunk will not be re-dispatched (its
+        trials were recovered in isolation or quarantined); leaves it
+        pending — with ``attempt`` advanced and the backoff already
         slept — when the caller should resubmit it.
         """
+        if self.policy is None:
+            raise self.abort(state, exc, timed_out=timed_out)
         if state.vectorized:
             # The batched engine produced the failure (or was at least
             # in the loop); the per-trial path is byte-identical, so
@@ -209,7 +315,7 @@ class _Supervision:
             self.event(
                 "downgrade_vectorized",
                 "retrying chunk through the per-trial loop",
-                state.indices,
+                state.cells,
             )
         if state.attempt >= self.policy.max_retries:
             if timed_out:
@@ -226,9 +332,9 @@ class _Supervision:
                 exc,
                 kind="exhausted the campaign retry budget "
                 f"({self.policy.max_total_retries} retries)",
-                experiment=self.outcome.experiment,
+                experiment=self.label,
                 indices=state.indices,
-                base_seed=self.outcome.base_seed,
+                base_seed=self.base_seed,
             )
         delay = backoff_delay(self.policy, state.attempt, self.jitter_rng)
         state.attempt += 1
@@ -236,7 +342,7 @@ class _Supervision:
             "retry",
             f"attempt {state.attempt} after "
             f"{type(exc).__name__} (backoff {delay:.3f}s)",
-            state.indices,
+            state.cells,
         )
         self.sleep(delay)
 
@@ -247,50 +353,61 @@ class _Supervision:
         quarantine. Isolation runs in-process so a crashing worker
         cannot take healthy trials down with it.
         """
-        for trial in state.indices:
-            payload = self.isolate_payload(trial)
-            try:
-                results = _run_chunk(payload)
-            except Exception as exc:
-                self.quarantine_trial(trial, exc)
-            else:
-                self.outcome.completed[trial] = results[0]
-                if self.journal is not None:
-                    self.journal.record(trial, results[0].to_dict())
-                self.notify_progress()
+        assert self.policy is not None
+        for j, trials in state.cells:
+            for trial in trials:
+                single = _ChunkState(
+                    indices=(trial,),
+                    cells=((j, (trial,)),),
+                    attempt=self.policy.max_retries + 1,
+                )
+                try:
+                    results = self.run_local(single)
+                except Exception as exc:
+                    self.quarantine_trial(j, trial, exc)
+                else:
+                    self.record_success(single, results)
 
     def quarantine_chunk(
         self, state: _ChunkState, exc: BaseException, *, reason: str
     ) -> None:
-        for trial in state.indices:
-            if trial not in self.outcome.completed:
-                self.quarantine_trial(trial, exc, reason=reason)
+        for j, trials in state.cells:
+            for trial in trials:
+                if trial not in self.outcomes[j].completed:
+                    self.quarantine_trial(j, trial, exc, reason=reason)
 
     def quarantine_trial(
-        self, trial: int, exc: BaseException, *, reason: Optional[str] = None
+        self,
+        j: int,
+        trial: int,
+        exc: BaseException,
+        *,
+        reason: Optional[str] = None,
     ) -> None:
+        assert self.policy is not None
+        outcome = self.outcomes[j]
         detail = reason or f"{type(exc).__name__}: {exc}"
         if not self.policy.quarantine:
             err = TrialQuarantinedError(
-                f"experiment {self.outcome.experiment or '<unnamed>'!r}: trial "
+                f"experiment {outcome.experiment or '<unnamed>'!r}: trial "
                 f"{trial} exhausted {self.policy.max_retries} retries "
                 f"({detail}); replay with derive_trial_seed("
-                f"{self.outcome.base_seed!r}, {trial})",
-                experiment=self.outcome.experiment,
+                f"{self.base_seed!r}, {trial})",
+                experiment=outcome.experiment,
                 trial_indices=(trial,),
-                base_seed=self.outcome.base_seed,
+                base_seed=self.base_seed,
             )
             err.__cause__ = exc
             raise err
-        self.outcome.quarantined.append(
+        outcome.quarantined.append(
             QuarantinedTrial(
-                experiment=self.outcome.experiment,
+                experiment=outcome.experiment,
                 trial=trial,
-                base_seed=self.outcome.base_seed,
+                base_seed=self.base_seed,
                 error=detail,
             )
         )
-        self.event("quarantine", detail, (trial,))
+        self.event("quarantine", detail, ((j, (trial,)),))
 
 
 class ChunkExecutor(ABC):
@@ -309,13 +426,15 @@ class ChunkExecutor(ABC):
 
 
 class PooledChunkExecutor(ChunkExecutor):
-    """Pool dispatch with per-chunk retry and crash-driven degradation.
+    """Pool dispatch, collected in dispatch order, with retry and degradation.
 
     Rounds: submit every unfinished chunk, collect strictly in dispatch
-    order, retry soft failures on the live pool; a broken pool or a
-    timeout ends the round (the executor is dropped) and the next round
+    order (a chunk gets ``trial_timeout`` seconds per trial it runs),
+    retry soft failures on the live pool; a broken pool or a timeout
+    ends the round (the executor is dropped) and the next round
     resubmits whatever is left. After ``policy.pool_downgrade_after``
     breakages the remaining chunks fall through to the in-process loop.
+    Under the fail-fast policy the first failure of any kind raises.
     """
 
     def __init__(
@@ -324,17 +443,26 @@ class PooledChunkExecutor(ChunkExecutor):
         self.plan = plan
         self.trial_timeout = trial_timeout
 
+    def _pool(self, workers: int) -> concurrent.futures.Executor:
+        """A fresh worker pool (the one process-pool site of the package)."""
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(self.plan.start_method),
+        )
+
+    @staticmethod
+    def _submit(
+        executor: concurrent.futures.Executor, state: _ChunkState, sup: _Supervision
+    ) -> "concurrent.futures.Future[List[List[DiscoveryResult]]]":
+        return executor.submit(_run_chunk, sup.payload(state), sup.network_json)
+
     def run(self, states: List[_ChunkState], sup: _Supervision) -> None:
-        context = multiprocessing.get_context(self.plan.start_method)
         while any(not s.done for s in states):
             open_states = [s for s in states if not s.done]
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.plan.max_workers, len(open_states)),
-                mp_context=context,
-            )
+            executor = self._pool(min(self.plan.max_workers, len(open_states)))
             try:
                 pending: List[Tuple[_ChunkState, Any]] = [
-                    (state, executor.submit(_run_chunk, sup.make_payload(state)))
+                    (state, self._submit(executor, state, sup))
                     for state in open_states
                 ]
                 index = 0
@@ -343,26 +471,19 @@ class PooledChunkExecutor(ChunkExecutor):
                     index += 1
                     if state.done:  # finished by a retry earlier this round
                         continue
-                    if sup.chaos is not None and sup.chaos.times_out(
-                        state.indices, state.attempt
-                    ):
+                    if sup.chaos_timeout(state):
                         future.cancel()
-                        sup.handle_failure(
-                            state,
-                            concurrent.futures.TimeoutError(
-                                "chaos: injected chunk timeout"
-                            ),
-                            timed_out=True,
-                        )
                         break  # timeout semantics: the pool is suspect
                     budget = (
                         None
                         if self.trial_timeout is None
-                        else self.trial_timeout * len(state.indices)
+                        else self.trial_timeout * state.rows
                     )
                     try:
                         results = future.result(timeout=budget)
                     except BrokenProcessPool as exc:
+                        if sup.policy is None:  # fail fast: no rebuild
+                            raise sup.abort(state, exc, timed_out=False) from exc
                         sup.pool_breakages += 1
                         if sup.pool_breakages >= sup.policy.pool_downgrade_after:
                             sup.event(
@@ -375,7 +496,7 @@ class PooledChunkExecutor(ChunkExecutor):
                             "pool_rebuild",
                             f"worker pool broke ({exc}); rebuilding and "
                             "resubmitting unfinished chunks",
-                            state.indices,
+                            state.cells,
                         )
                         break
                     except concurrent.futures.TimeoutError as exc:
@@ -387,17 +508,12 @@ class PooledChunkExecutor(ChunkExecutor):
                     except Exception as exc:
                         sup.handle_failure(state, exc, timed_out=False)
                         if not state.done:
-                            pending.append(
-                                (
-                                    state,
-                                    executor.submit(
-                                        _run_chunk, sup.make_payload(state)
-                                    ),
-                                )
-                            )
+                            pending.append((state, self._submit(executor, state, sup)))
                         continue
                     sup.record_success(state, results)
             finally:
+                # A timed-out worker cannot be interrupted cooperatively;
+                # drop the whole pool so stragglers do not outlive it.
                 executor.shutdown(wait=False, cancel_futures=True)
 
 
@@ -412,19 +528,10 @@ class InProcessChunkExecutor(ChunkExecutor):
     def run(self, states: List[_ChunkState], sup: _Supervision) -> None:
         for state in states:
             while not state.done:
-                if sup.chaos is not None and sup.chaos.times_out(
-                    state.indices, state.attempt
-                ):
-                    sup.handle_failure(
-                        state,
-                        concurrent.futures.TimeoutError(
-                            "chaos: injected chunk timeout"
-                        ),
-                        timed_out=True,
-                    )
+                if sup.chaos_timeout(state):
                     continue
                 try:
-                    results = _run_chunk(sup.make_payload(state))
+                    results = sup.run_local(state)
                 except Exception as exc:
                     sup.handle_failure(state, exc, timed_out=False)
                     continue

@@ -1,37 +1,42 @@
-"""Supervised trial execution: retries, quarantine, degradation, resume.
+"""The one dispatch path: trial groups through the chunk executors.
 
-:func:`run_supervised_trials` is the resilient sibling of
-:func:`repro.sim.parallel.run_spec_trials`. It dispatches the same
-seeded chunks through the same worker entry point — so a fault-free
-supervised campaign is byte-identical to a fail-fast one — but instead
-of aborting on the first failure it:
+Every campaign — ``m2hew batch``, ``m2hew serve``, the lease queue, the
+fail-fast :func:`repro.sim.parallel.run_spec_trials` — runs through
+:func:`run_trial_group`. A *group* is one or more spec points sharing a
+realized network; its trial axis is cut into chunks (a per-spec chunk,
+or under ``backend="vectorized"`` a grid chunk advancing every entry in
+one kernel pass), and the chunks execute on a ladder of
+:class:`~repro.resilience.executor.ChunkExecutor` rungs. What happens
+when a chunk fails is the policy's business:
 
-* **retries** a failed chunk with seeded exponential backoff
-  (:mod:`repro.resilience.policy`), bounded per chunk and campaign-wide;
-* **quarantines** trials that keep failing: the campaign completes, and
+* **fail fast** (``policy=None``): the first failure raises a typed
+  :class:`~repro.exceptions.TrialExecutionError` /
+  :class:`~repro.exceptions.TrialTimeoutError` with the chunk's trial
+  indices and base seed;
+* **retry** a failed chunk with seeded exponential backoff
+  (:mod:`repro.resilience.policy`), bounded per chunk and per group;
+* **quarantine** trials that keep failing: the campaign completes, and
   the quarantined indices plus their replay seeds are reported to the
   caller (``run_batch`` records them in the manifest);
-* **degrades gracefully**: a chunk that fails under the vectorized
+* **degrade gracefully**: a chunk that fails under the vectorized
   engine retries through the per-trial loop (byte-identical output),
   and repeated hard worker crashes downgrade the pool to in-process
   execution — every downgrade is logged and surfaced as an event;
-* **journals** completed trials to a checkpoint
+* **journal** completed trials per entry to a checkpoint
   (:mod:`repro.resilience.checkpoint`) so a killed campaign resumes
   where it stopped, with archives byte-identical to an uninterrupted
   run.
 
-Chunk execution itself lives behind the
-:class:`~repro.resilience.executor.ChunkExecutor` interface
-(:mod:`repro.resilience.executor`): a process pool, the in-process
-loop, or — with ``queue_dir``/``backend="distributed"`` — the
-multi-host file-queue coordinator of
-:mod:`repro.resilience.distributed`. Executors are stacked as a
-degradation ladder; whatever chunks one leaves unfinished fall through
-to the next, ending at the in-process loop which always finishes.
+The executors are a process pool, the in-process loop, or — with
+``queue_dir``/``backend="distributed"`` — the multi-host file-queue
+coordinator of :mod:`repro.resilience.distributed`. Whatever chunks one
+rung leaves unfinished fall through to the next, ending at the
+in-process loop which always finishes.
 
-Determinism: trial ``t`` always runs from ``derive_trial_seed(base_seed,
-t)``, results are keyed by trial index, and retrying re-runs the *same*
-payload — so neither retries, nor the worker count, nor where a chunk
+Determinism: trial ``t`` of every entry always runs from
+``derive_trial_seed(base_seed, t)``, results are keyed by entry and
+trial index, and retrying re-runs the *same* payload — so neither
+retries, nor the worker count, nor grid fusion, nor where a chunk
 eventually succeeded can leave a trace in the results. Collection is
 strictly in dispatch order (completed-but-uncollected futures of a
 broken pool are deliberately discarded rather than racily salvaged), so
@@ -44,22 +49,18 @@ from __future__ import annotations
 import logging
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Set
 
+from ..exceptions import ConfigurationError
 from ..net.network import M2HeWNetwork
-from ..net.serialization import network_to_json
-from ..sim.parallel import (
-    _ChunkPayload,
-    _merge_batch_size,
-    default_chunk_size,
-    resolve_plan,
-)
+from ..sim.parallel import default_chunk_size, merge_batch_size, resolve_plan
 from ..sim.results import result_from_dict
 from ..sim.rng import RngFactory, derive_trial_seed
 from .chaos import ChaosPlan
 from .checkpoint import TrialJournal
 from .executor import (
     ChunkExecutor,
+    GroupEntry,
     InProcessChunkExecutor,
     PooledChunkExecutor,
     QuarantinedTrial,
@@ -71,10 +72,12 @@ from .executor import (
 from .policy import RetryPolicy
 
 __all__ = [
+    "GroupEntry",
     "QuarantinedTrial",
     "SupervisedTrials",
     "SupervisorEvent",
     "run_supervised_trials",
+    "run_trial_group",
 ]
 
 _logger = logging.getLogger("repro.resilience")
@@ -86,6 +89,172 @@ _logger = logging.getLogger("repro.resilience")
 #: are likewise operational: a kill schedule must not change archives.
 ARCHIVED_EVENT_KINDS = frozenset({"downgrade_pool", "downgrade_vectorized"})
 __all__.append("ARCHIVED_EVENT_KINDS")
+
+
+def run_trial_group(
+    network: M2HeWNetwork,
+    entries: Sequence[GroupEntry],
+    *,
+    base_seed: Optional[int] = 0,
+    max_workers: int = 1,
+    backend: str = "auto",
+    chunk_size: Optional[int] = None,
+    trial_timeout: Optional[float] = None,
+    label: Optional[str] = None,
+    policy: Optional[RetryPolicy] = None,
+    journals: Optional[Sequence[Optional[TrialJournal]]] = None,
+    chaos: Optional[ChaosPlan] = None,
+    sleep: Optional[Callable[[float], None]] = None,
+    on_progress: Optional[Callable[[int, int, int], None]] = None,
+    queue_dir: Optional[Path] = None,
+    lease: Optional[Any] = None,
+) -> List[SupervisedTrials]:
+    """Run a group of spec points on one network; one outcome per entry.
+
+    Under ``backend="vectorized"`` the entries' trial axes are chunked
+    jointly and every chunk advances all of them in one grid pass;
+    otherwise a group has a single entry. A work queue carries one spec
+    point per task, so distributed groups have exactly one entry. The
+    execution options mean what they mean for
+    :func:`run_supervised_trials`, except:
+
+    Args:
+        label: The group's name in error messages, logs and the backoff
+            stream.
+        policy: Retry/quarantine/degradation policy; ``None`` fails
+            fast on the first failing chunk.
+        journals: One open checkpoint journal (or ``None``) per entry.
+        on_progress: Observer called with ``(entry index, completed,
+            entry trials)``.
+
+    Raises:
+        ConfigurationError: No entries, a non-positive trial count, or
+            ``backend="distributed"`` without a ``queue_dir``.
+        TrialExecutionError: Under the fail-fast policy, the first
+            failing chunk; otherwise, the retry budget ran out.
+        TrialQuarantinedError: A trial exhausted its retries and the
+            policy has quarantine disabled.
+    """
+    # Imported lazily: the distributed module is only needed when a
+    # queue is in play, and it reuses this module's public dataclasses.
+    from .distributed import (
+        DISTRIBUTED_BACKEND,
+        DistributedChunkExecutor,
+        LeasePolicy,
+        WorkQueue,
+    )
+
+    if not entries:
+        raise ConfigurationError("a trial group needs at least one entry")
+    for entry in entries:
+        if entry.trials < 1:
+            raise ConfigurationError(f"trials must be >= 1, got {entry.trials}")
+    distributed = queue_dir is not None or backend == DISTRIBUTED_BACKEND
+    if distributed and queue_dir is None:
+        raise ConfigurationError(
+            "backend 'distributed' needs a shared queue directory "
+            "(queue_dir= / --queue)"
+        )
+    trials = max(entry.trials for entry in entries)
+    if distributed and chunk_size is None:
+        # Serial plans default to per-trial chunks; a shared queue wants
+        # fewer, larger leases for workers to steal.
+        chunk_size = default_chunk_size(trials, 4)
+    plan = resolve_plan(
+        trials,
+        max_workers=max_workers,
+        backend="serial" if distributed else backend,
+        chunk_size=chunk_size,
+    )
+    seeds = [derive_trial_seed(base_seed, t) for t in range(trials)]
+    journal_list: List[Optional[TrialJournal]] = (
+        list(journals) if journals is not None else [None] * len(entries)
+    )
+
+    outcomes = [
+        SupervisedTrials(
+            experiment=entry.experiment, trials=entry.trials, base_seed=base_seed
+        )
+        for entry in entries
+    ]
+    for j, (outcome, journal) in enumerate(zip(outcomes, journal_list)):
+        if journal is not None and journal.restored:
+            for trial, payload in sorted(journal.restored.items()):
+                if 0 <= trial < outcome.trials:
+                    outcome.completed[trial] = result_from_dict(payload)
+            outcome.restored = len(outcome.completed)
+        if outcome.restored and on_progress is not None:
+            on_progress(j, outcome.restored, outcome.trials)
+
+    todo = [
+        {t for t in range(o.trials) if t not in o.completed} for o in outcomes
+    ]
+    states = _chunk_states(todo, plan.chunk_size, vectorized=plan.vectorized)
+    if not states:
+        return outcomes
+    restored = sum(o.restored for o in outcomes)
+    if restored:
+        _logger.info(
+            "[%s] resume: %d trial(s) restored from checkpoint, %d to run",
+            label or "-",
+            restored,
+            sum(len(t) for t in todo),
+        )
+
+    supervision = _Supervision(
+        network=network,
+        entries=entries,
+        outcomes=outcomes,
+        seeds=seeds,
+        label=label,
+        base_seed=base_seed,
+        policy=policy,
+        journals=journal_list,
+        chaos=chaos,
+        sleep=sleep if sleep is not None else time.sleep,
+        jitter_rng=RngFactory(base_seed).stream(f"resilience/backoff/{label or ''}"),
+        on_progress=on_progress,
+    )
+    ladder: List[ChunkExecutor] = []
+    if distributed:
+        assert queue_dir is not None
+        ladder.append(
+            DistributedChunkExecutor(
+                WorkQueue(Path(queue_dir)),
+                lease if isinstance(lease, LeasePolicy) else LeasePolicy(),
+            )
+        )
+    elif plan.backend == "process":
+        ladder.append(PooledChunkExecutor(plan, trial_timeout))
+    ladder.append(InProcessChunkExecutor())
+    for rung in ladder:
+        if any(not s.done for s in states):
+            rung.run(states, supervision)
+    return outcomes
+
+
+def _chunk_states(
+    todo: Sequence[Set[int]], chunk_size: int, *, vectorized: bool
+) -> List[_ChunkState]:
+    """Cut the group's pending trials into dispatch chunks.
+
+    The trial axis is chunked jointly — contiguous runs of the pending
+    trial indices, over every entry — and each chunk runs, for every
+    entry, the trials among its indices that entry still needs.
+    """
+    pending = sorted({t for needed in todo for t in needed})
+    states = []
+    for lo in range(0, len(pending), chunk_size):
+        indices = tuple(pending[lo : lo + chunk_size])
+        cells = []
+        for j, needed in enumerate(todo):
+            trials = tuple(t for t in indices if t in needed)
+            if trials:
+                cells.append((j, trials))
+        states.append(
+            _ChunkState(indices=indices, cells=tuple(cells), vectorized=vectorized)
+        )
+    return states
 
 
 def run_supervised_trials(
@@ -109,7 +278,7 @@ def run_supervised_trials(
     queue_dir: Optional[Path] = None,
     lease: Optional[Any] = None,
 ) -> SupervisedTrials:
-    """Run ``trials`` seeded trials under supervision.
+    """Run ``trials`` seeded trials of one spec point under supervision.
 
     Accepts every execution option of
     :func:`~repro.sim.parallel.run_spec_trials` plus:
@@ -143,128 +312,26 @@ def run_supervised_trials(
             policy has quarantine disabled.
         TrialExecutionError: The campaign-wide retry budget ran out.
     """
-    # Imported lazily: the distributed module is only needed when a
-    # queue is in play, and it reuses this module's public dataclasses.
-    from .distributed import (
-        DISTRIBUTED_BACKEND,
-        DistributedChunkExecutor,
-        LeasePolicy,
-        WorkQueue,
-    )
-
-    distributed = queue_dir is not None or backend == DISTRIBUTED_BACKEND
-    if distributed and queue_dir is None:
-        from ..exceptions import ConfigurationError
-
-        raise ConfigurationError(
-            "backend 'distributed' needs a shared queue directory "
-            "(queue_dir= / --queue)"
-        )
-    plan_backend = "serial" if distributed else backend
-    policy = policy or RetryPolicy()
-    chunk_size = _merge_batch_size(plan_backend, chunk_size, batch_size)
-    if distributed and chunk_size is None:
-        # Serial plans default to one chunk per campaign; a shared
-        # queue wants enough chunks for workers to steal.
-        chunk_size = default_chunk_size(trials, 4)
-    plan = resolve_plan(
-        trials, max_workers=max_workers, backend=plan_backend, chunk_size=chunk_size
-    )
-    params: Dict[str, Any] = dict(runner_params or {})
-    seeds = [derive_trial_seed(base_seed, t) for t in range(trials)]
-
-    outcome = SupervisedTrials(
-        experiment=experiment, trials=trials, base_seed=base_seed
-    )
-    if journal is not None and journal.restored:
-        for trial, payload in sorted(journal.restored.items()):
-            if 0 <= trial < trials:
-                outcome.completed[trial] = result_from_dict(payload)
-        outcome.restored = len(outcome.completed)
-    if outcome.restored and on_progress is not None:
-        on_progress(len(outcome.completed), trials)
-
-    remaining = [t for t in range(trials) if t not in outcome.completed]
-    if not remaining:
-        return outcome
-    if outcome.restored:
-        _logger.info(
-            "[%s] resume: %d trial(s) restored from checkpoint, %d to run",
-            experiment or "-",
-            outcome.restored,
-            len(remaining),
-        )
-
-    network_json = network_to_json(network)
-
-    def make_payload(state: _ChunkState) -> _ChunkPayload:
-        return _ChunkPayload(
-            network_json=network_json,
-            protocol=protocol,
-            runner_params=params,
-            trial_indices=state.indices,
-            seeds=tuple(seeds[i] for i in state.indices),
-            vectorized=state.vectorized,
-            chaos=chaos,
-            attempt=state.attempt,
-        )
-
-    def isolate_payload(trial: int) -> _ChunkPayload:
-        return _ChunkPayload(
-            network_json=network_json,
-            protocol=protocol,
-            runner_params=params,
-            trial_indices=(trial,),
-            seeds=(seeds[trial],),
-            vectorized=False,
-            chaos=chaos,
-            attempt=policy.max_retries + 1,
-        )
-
-    supervision = _Supervision(
-        outcome=outcome,
-        policy=policy,
-        journal=journal,
+    (outcome,) = run_trial_group(
+        network,
+        [GroupEntry(experiment, protocol, trials, dict(runner_params or {}))],
+        base_seed=base_seed,
+        max_workers=max_workers,
+        backend=backend,
+        chunk_size=merge_batch_size(backend, chunk_size, batch_size),
+        trial_timeout=trial_timeout,
+        label=experiment,
+        policy=policy or RetryPolicy(),
+        journals=[journal],
         chaos=chaos,
-        sleep=sleep if sleep is not None else time.sleep,
-        make_payload=make_payload,
-        isolate_payload=isolate_payload,
-        jitter_rng=RngFactory(base_seed).stream(
-            f"resilience/backoff/{experiment or ''}"
+        sleep=sleep,
+        on_progress=(
+            None
+            if on_progress is None
+            else lambda _entry, done, total: on_progress(done, total)
         ),
-        on_progress=on_progress,
+        queue_dir=queue_dir,
+        lease=lease,
     )
-    states = [
-        _ChunkState(indices=chunk, vectorized=plan.vectorized)
-        for chunk in _contiguous_chunks(remaining, plan.chunk_size)
-    ]
-    ladder: List[ChunkExecutor] = []
-    if distributed:
-        assert queue_dir is not None
-        ladder.append(
-            DistributedChunkExecutor(
-                queue=WorkQueue(Path(queue_dir)),
-                lease=lease if isinstance(lease, LeasePolicy) else LeasePolicy(),
-                protocol=protocol,
-                network_json=network_json,
-                runner_params=params,
-                base_seed=base_seed,
-            )
-        )
-    elif plan.backend == "process":
-        ladder.append(PooledChunkExecutor(plan, trial_timeout))
-    ladder.append(InProcessChunkExecutor())
-    for rung in ladder:
-        if any(not s.done for s in states):
-            rung.run(states, supervision)
     return outcome
 
-
-def _contiguous_chunks(
-    indices: Sequence[int], chunk_size: int
-) -> List[Tuple[int, ...]]:
-    """Group (possibly non-contiguous) remaining trials into dispatch chunks."""
-    return [
-        tuple(indices[lo : lo + chunk_size])
-        for lo in range(0, len(indices), chunk_size)
-    ]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import threading
 from pathlib import Path
 from typing import AbstractSet, Dict, List, Optional, Union
 
@@ -69,6 +70,10 @@ class ResultStore:
         self.directory = Path(directory)
         self.max_archives = max_archives
         self.max_bytes = max_bytes
+        # The service touches from its event loop (cache hits) and from
+        # the job thread (fresh archives, eviction); every index
+        # read-modify-write holds this lock so none is lost.
+        self._index_lock = threading.Lock()
 
     def path_for(self, fingerprint: str) -> Path:
         """Directory a campaign with this fingerprint archives into."""
@@ -143,13 +148,7 @@ class ResultStore:
             index["touched"] = {}
         return index
 
-    def touch(self, fingerprint: str) -> None:
-        """Mark a fingerprint as just-used (monotonic counter, not clock)."""
-        self.path_for(fingerprint)  # reject malformed names
-        index = self._load_index()
-        counter = int(index.get("counter", 0)) + 1  # type: ignore[call-overload]
-        touched = dict(index["touched"])  # type: ignore[arg-type]
-        touched[fingerprint] = counter
+    def _write_index(self, counter: int, touched: Dict[str, int]) -> None:
         atomic_write_text(
             self._index_path(),
             json.dumps(
@@ -158,6 +157,16 @@ class ResultStore:
             )
             + "\n",
         )
+
+    def touch(self, fingerprint: str) -> None:
+        """Mark a fingerprint as just-used (monotonic counter, not clock)."""
+        self.path_for(fingerprint)  # reject malformed names
+        with self._index_lock:
+            index = self._load_index()
+            counter = int(index.get("counter", 0)) + 1  # type: ignore[call-overload]
+            touched = dict(index["touched"])  # type: ignore[arg-type]
+            touched[fingerprint] = counter
+            self._write_index(counter, touched)
 
     def stored_fingerprints(self) -> List[str]:
         """Fingerprints with an archive directory present, sorted."""
@@ -225,20 +234,18 @@ class ResultStore:
             count -= 1
             total -= sizes[fingerprint]
         if evicted:
-            remaining = {
-                fp: tick for fp, tick in sorted(touched.items())
-                if fp not in set(evicted)
-            }
-            atomic_write_text(
-                self._index_path(),
-                json.dumps(
+            # Re-read under the lock: touches that landed while the
+            # archives above were being verified must survive.
+            with self._index_lock:
+                index = self._load_index()
+                fresh = index["touched"]
+                assert isinstance(fresh, dict)
+                self._write_index(
+                    int(index.get("counter", 0)),  # type: ignore[call-overload]
                     {
-                        "kind": "lru",
-                        "counter": int(index.get("counter", 0)),  # type: ignore[call-overload]
-                        "touched": remaining,
+                        fp: tick
+                        for fp, tick in sorted(fresh.items())
+                        if fp not in evicted
                     },
-                    sort_keys=True,
                 )
-                + "\n",
-            )
         return evicted

@@ -40,7 +40,6 @@ from .runner import (
     run_asynchronous,
     run_experiment_grid_batched,
     run_experiment_trial,
-    run_experiment_trials_batched,
     run_synchronous,
     run_trials,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "run_asynchronous",
     "run_experiment_grid_batched",
     "run_experiment_trial",
-    "run_experiment_trials_batched",
     "run_grid_spec_trials",
     "run_spec_trials",
     "run_synchronous",

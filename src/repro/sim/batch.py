@@ -13,20 +13,23 @@ every file lands atomically (tmp + fsync + rename), every payload
 carries a ``schema_version`` and the manifest records a SHA-256 per
 file — ``m2hew verify-archive`` checks all of it.
 
-Campaigns can run *supervised* (any of ``retry``, ``checkpoint_dir`` or
-``chaos`` set): failing trial chunks are retried with seeded backoff,
-trials that exhaust their budget are quarantined into the manifest with
-replay seeds instead of aborting the campaign, and completed trials are
-journaled so an interrupted campaign resumes where it stopped. The
-archived bytes of a supervised campaign that recovered are identical to
-those of one that ran clean — see :mod:`repro.resilience`.
+Every campaign runs through one dispatch path, the supervisor's chunk
+executors (:func:`~repro.resilience.supervisor.run_trial_group`), one
+group of same-network specs at a time. Without a retry policy it fails
+fast on the first failing trial chunk. With one (``retry``, or implied
+by ``checkpoint_dir``, ``chaos`` or a work queue) failing chunks are
+retried with seeded backoff, trials that exhaust their budget are
+quarantined into the manifest with replay seeds instead of aborting the
+campaign, and completed trials are journaled so an interrupted campaign
+resumes where it stopped. The archived bytes of a supervised campaign
+that recovered are identical to those of one that ran clean — see
+:mod:`repro.resilience`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -48,7 +51,7 @@ from ..resilience.policy import RetryPolicy
 from ..resilience.verify import ARCHIVE_SCHEMA_VERSION
 from ..workloads.generator import WorkloadConfig, generate_network
 from ..core.registry import ASYNCHRONOUS_PROTOCOLS
-from .parallel import run_grid_spec_trials, run_spec_trials
+from .parallel import merge_batch_size
 from .results import DiscoveryResult
 from .runner import SYNC_PROTOCOLS, grid_batchable
 
@@ -187,112 +190,6 @@ def batch_fingerprint(
     )
 
 
-def _run_spec(
-    spec: ExperimentSpec,
-    base_seed: Optional[int],
-    *,
-    max_workers: int = 1,
-    backend: str = "auto",
-    chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    trial_timeout: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    chaos: Optional[ChaosPlan] = None,
-    on_progress: Optional[Callable[[int, int], None]] = None,
-    queue_dir: Optional[Union[str, Path]] = None,
-    lease: Optional[Any] = None,
-) -> BatchOutcome:
-    network = generate_network(spec.workload, seed=spec.network_seed)
-    supervised = (
-        retry is not None
-        or checkpoint_dir is not None
-        or chaos is not None
-        or queue_dir is not None
-        or backend == "distributed"
-    )
-
-    quarantined: List["QuarantinedTrial"] = []
-    events: List["SupervisorEvent"] = []
-    restored = 0
-    if supervised:
-        # Deferred import: repro.sim's eager imports would otherwise
-        # race the resilience package's own initialization.
-        from ..resilience.supervisor import run_supervised_trials
-
-        journal: Optional[TrialJournal] = None
-        if checkpoint_dir is not None:
-            journal = TrialJournal.open(
-                checkpoint_dir, spec.name, spec_fingerprint(spec, base_seed)
-            )
-        try:
-            outcome = run_supervised_trials(
-                network,
-                spec.protocol,
-                trials=spec.trials,
-                base_seed=base_seed,
-                runner_params=spec.runner_params,
-                max_workers=max_workers,
-                backend=backend,
-                chunk_size=chunk_size,
-                batch_size=batch_size,
-                trial_timeout=trial_timeout,
-                experiment=spec.name,
-                policy=retry,
-                journal=journal,
-                chaos=chaos,
-                on_progress=on_progress,
-                queue_dir=None if queue_dir is None else Path(queue_dir),
-                lease=lease,
-            )
-        finally:
-            if journal is not None:
-                journal.close()
-        indexed = outcome.results_in_order()
-        quarantined = list(outcome.quarantined)
-        events = list(outcome.events)
-        restored = outcome.restored
-    else:
-        trial_results = run_spec_trials(
-            network,
-            spec.protocol,
-            trials=spec.trials,
-            base_seed=base_seed,
-            runner_params=spec.runner_params,
-            max_workers=max_workers,
-            backend=backend,
-            chunk_size=chunk_size,
-            batch_size=batch_size,
-            trial_timeout=trial_timeout,
-            experiment=spec.name,
-            on_progress=on_progress,
-        )
-        indexed = list(enumerate(trial_results))
-
-    # Campaign metadata is stamped in the parent, after reassembly (and
-    # after any checkpoint restore), so archived bytes cannot depend on
-    # where — or in which run — a trial happened to execute.
-    for t, result in indexed:
-        result.metadata["experiment"] = spec.name
-        result.metadata["trial"] = t
-        result.metadata["workload"] = spec.workload.describe()
-    results = [result for _, result in indexed]
-
-    times = [
-        float(r.completion_time) for r in results if r.completion_time is not None
-    ]
-    return BatchOutcome(
-        spec=spec,
-        results=results,
-        network_params=dict(network.parameter_summary()),
-        completion=summarize(times) if times else None,
-        completed_fraction=sum(r.completed for r in results) / spec.trials,
-        quarantined=quarantined,
-        events=events,
-        restored=restored,
-    )
-
-
 def _grid_groups(specs: Sequence[ExperimentSpec], backend: str) -> List[List[int]]:
     """Spec-index groups fusable into one grid pass, in first-seen order.
 
@@ -316,54 +213,69 @@ def _grid_groups(specs: Sequence[ExperimentSpec], backend: str) -> List[List[int
     return [indices for indices in groups.values() if len(indices) >= 2]
 
 
-def _run_grid_group(
-    specs: Sequence[ExperimentSpec],
-    indices: Sequence[int],
+def _run_group(
+    group: Sequence[ExperimentSpec],
     base_seed: Optional[int],
     *,
-    max_workers: int,
-    chunk_size: Optional[int],
-    batch_size: Optional[int],
-    trial_timeout: Optional[float],
+    checkpoint_dir: Optional[Union[str, Path]],
     on_progress: Optional[Callable[[str, int, int], None]],
+    **dispatch: Any,
 ) -> List[BatchOutcome]:
-    """Run a fusable spec group as one grid campaign; outcomes per index.
+    """Run specs that share one network as one trial group.
 
-    The shared network is realized once; every spec point advances in
-    the same kernel passes (see
-    :func:`~repro.sim.parallel.run_grid_spec_trials`). Metadata is
-    stamped exactly as :func:`_run_spec` stamps it — experiment, trial,
-    workload, in that insertion order — so archives are byte-identical
-    to per-spec execution.
+    The network is realized once and every spec gets its own journal,
+    outcome and progress reports (see
+    :func:`~repro.resilience.supervisor.run_trial_group`).
     """
-    group = [specs[i] for i in indices]
+    # Deferred import: repro.sim's eager imports would otherwise race
+    # the resilience package's own initialization.
+    from ..resilience.supervisor import GroupEntry, run_trial_group
+
     network = generate_network(group[0].workload, seed=group[0].network_seed)
-    entries = [(s.protocol, s.trials, s.runner_params) for s in group]
-    per_entry = run_grid_spec_trials(
-        network,
-        entries,
-        base_seed=base_seed,
-        max_workers=max_workers,
-        chunk_size=chunk_size,
-        batch_size=batch_size,
-        trial_timeout=trial_timeout,
-        experiment=" + ".join(s.name for s in group),
-        on_progress=(
-            None
-            if on_progress is None
-            else lambda j, done, total: on_progress(group[j].name, done, total)
-        ),
-    )
+    journals: List[Optional[TrialJournal]] = []
+    try:
+        for spec in group:
+            journals.append(
+                None
+                if checkpoint_dir is None
+                else TrialJournal.open(
+                    checkpoint_dir, spec.name, spec_fingerprint(spec, base_seed)
+                )
+            )
+        supervised = run_trial_group(
+            network,
+            [
+                GroupEntry(s.name, s.protocol, s.trials, s.runner_params)
+                for s in group
+            ],
+            base_seed=base_seed,
+            label=" + ".join(s.name for s in group),
+            journals=journals,
+            on_progress=(
+                None
+                if on_progress is None
+                else lambda j, done, total: on_progress(group[j].name, done, total)
+            ),
+            **dispatch,
+        )
+    finally:
+        for journal in journals:
+            if journal is not None:
+                journal.close()
+
     outcomes = []
-    for spec, results in zip(group, per_entry):
-        for t, result in enumerate(results):
+    for spec, trials in zip(group, supervised):
+        # Campaign metadata is stamped in the parent, after reassembly
+        # (and after any checkpoint restore), so archived bytes cannot
+        # depend on where — or in which run — a trial happened to execute.
+        indexed = trials.results_in_order()
+        for t, result in indexed:
             result.metadata["experiment"] = spec.name
             result.metadata["trial"] = t
             result.metadata["workload"] = spec.workload.describe()
+        results = [result for _, result in indexed]
         times = [
-            float(r.completion_time)
-            for r in results
-            if r.completion_time is not None
+            float(r.completion_time) for r in results if r.completion_time is not None
         ]
         outcomes.append(
             BatchOutcome(
@@ -372,6 +284,9 @@ def _run_grid_group(
                 network_params=dict(network.parameter_summary()),
                 completion=summarize(times) if times else None,
                 completed_fraction=sum(r.completed for r in results) / spec.trials,
+                quarantined=list(trials.quarantined),
+                events=list(trials.events),
+                restored=trials.restored,
             )
         )
     return outcomes
@@ -411,17 +326,19 @@ def run_batch(
             recorded in the manifest.
         backend: ``auto`` (default), ``serial``, ``process`` or
             ``vectorized`` (trial-batched engine; byte-identical
-            output, see :mod:`repro.sim.batched`). Unsupervised
-            vectorized campaigns additionally fuse grid-eligible
-            experiments that share a workload recipe and network seed
-            into parameter-grid batches
-            (:class:`~repro.sim.batched.GridBatchedSimulator`) — one
-            kernel pass advances every spec point, still byte-identical
-            to per-spec execution. ``distributed`` (with ``queue_dir``)
-            shards chunks across ``m2hew worker`` processes instead.
-        chunk_size: Trials per worker dispatch (default: auto).
+            output, see :mod:`repro.sim.batched`). Vectorized campaigns
+            additionally fuse grid-eligible experiments that share a
+            workload recipe and network seed into parameter-grid
+            batches (:class:`~repro.sim.batched.GridBatchedSimulator`)
+            — one kernel pass advances every spec point, still
+            byte-identical to per-spec execution, under every retry,
+            checkpoint and chaos setting. ``distributed`` (with
+            ``queue_dir``) shards chunks across ``m2hew worker``
+            processes instead.
+        chunk_size: Trials per dispatch unit (default: per trial when
+            serial, one batch when vectorized, auto when pooled).
         batch_size: Trials per vectorized batch (``vectorized`` only;
-            default: one batch per dispatch unit).
+            same as ``chunk_size`` there — chunks are batches).
         trial_timeout: Per-trial wall-clock budget in seconds.
         retry: Supervise execution with this retry/quarantine policy
             (see :class:`~repro.resilience.policy.RetryPolicy`) instead
@@ -451,7 +368,7 @@ def run_batch(
     Campaigns that quarantined trials or degraded their backend record
     a ``"resilience"`` section in the manifest (with replay seeds per
     quarantined trial); campaigns that ran clean — retries included —
-    archive bytes indistinguishable from an unsupervised run.
+    archive bytes indistinguishable from a fail-fast run.
     """
     if not specs:
         raise ConfigurationError("batch needs at least one experiment")
@@ -459,61 +376,45 @@ def run_batch(
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate experiment names: {sorted(names)}")
 
-    # Unsupervised vectorized campaigns fuse same-network spec groups
-    # into grid batches — one kernel pass advances every spec point.
-    # Byte-identical to per-spec execution, so the archive (written in
-    # spec order below) cannot tell the difference.
-    supervised = (
-        retry is not None
-        or checkpoint_dir is not None
+    chunk_size = merge_batch_size(backend, chunk_size, batch_size)
+    if retry is None and (
+        checkpoint_dir is not None
         or chaos is not None
         or queue_dir is not None
         or backend == "distributed"
-    )
-    fused: Dict[int, BatchOutcome] = {}
-    if not supervised:
-        for indices in _grid_groups(specs, backend):
-            for i, outcome in zip(
-                indices,
-                _run_grid_group(
-                    specs,
-                    indices,
-                    base_seed,
-                    max_workers=max_workers,
-                    chunk_size=chunk_size,
-                    batch_size=batch_size,
-                    trial_timeout=trial_timeout,
-                    on_progress=on_progress,
-                ),
-            ):
-                fused[i] = outcome
+    ):
+        retry = RetryPolicy()  # resuming, drills and sharding imply recovery
+    # Same-network vectorized specs fuse into grid groups; a work queue
+    # task carries one spec point, so sharded campaigns never fuse.
+    fused = _grid_groups(specs, backend) if queue_dir is None else []
+    grouped = {i for group in fused for i in group}
+    groups = sorted(fused + [[i] for i in range(len(specs)) if i not in grouped])
 
-    outcomes = [
-        fused[i]
-        if i in fused
-        else _run_spec(
-            spec,
-            base_seed,
-            max_workers=max_workers,
-            backend=backend,
-            chunk_size=chunk_size,
-            batch_size=batch_size,
-            trial_timeout=trial_timeout,
-            retry=retry,
-            checkpoint_dir=checkpoint_dir,
-            chaos=chaos,
-            on_progress=(
-                None if on_progress is None else partial(on_progress, spec.name)
+    outcomes: Dict[int, BatchOutcome] = {}
+    for group in groups:
+        for i, outcome in zip(
+            group,
+            _run_group(
+                [specs[i] for i in group],
+                base_seed,
+                checkpoint_dir=checkpoint_dir,
+                on_progress=on_progress,
+                max_workers=max_workers,
+                backend=backend,
+                chunk_size=chunk_size,
+                trial_timeout=trial_timeout,
+                policy=retry,
+                chaos=chaos,
+                queue_dir=None if queue_dir is None else Path(queue_dir),
+                lease=lease,
             ),
-            queue_dir=queue_dir,
-            lease=lease,
-        )
-        for i, spec in enumerate(specs)
-    ]
+        ):
+            outcomes[i] = outcome
+    ordered = [outcomes[i] for i in range(len(specs))]
 
     if output_dir is not None:
-        _archive(outcomes, base_seed, Path(output_dir))
-    return outcomes
+        _archive(ordered, base_seed, Path(output_dir))
+    return ordered
 
 
 def _archive(

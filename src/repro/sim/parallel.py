@@ -1,25 +1,26 @@
-"""Process-pool execution backend for seeded trial fan-out.
+"""Execution plans, chunk payloads and the fail-fast campaign entry points.
 
 Monte-Carlo campaigns are embarrassingly parallel: every trial is fully
 determined by ``(network, protocol, runner_params, trial seed)`` and the
-seeds already derive independently via
-:func:`~repro.sim.rng.derive_trial_seed`. This module exploits that —
-trials are dispatched to worker processes **by index** in fixed-size
-chunks and reassembled **in order**, so the list of results (and hence
-every archived JSON byte) is identical for 1 worker and for 8.
+seeds derive independently via :func:`~repro.sim.rng.derive_trial_seed`.
+Every campaign therefore runs as chunks of trial indices, dispatched by
+index and reassembled by index through one path — the supervisor's
+chunk executors (:func:`repro.resilience.supervisor.run_trial_group`) —
+so every archived byte is identical for 1 worker and for 8, for a
+per-trial loop and for a vectorized batch. This module holds what that
+path shares with its worker processes (the execution plan, the chunk
+payload and its worker entry point :func:`_run_chunk`) and its two
+fail-fast entry points, :func:`run_spec_trials` and
+:func:`run_grid_spec_trials`.
 
-Determinism contract:
+Determinism contract: seeds are derived in the parent, once, and ship
+inside the chunk payload; the workload is realized once per spec group
+and reaches pool and queue workers through :mod:`repro.net.serialization`
+(a bit-faithful round trip), never re-generated per trial.
 
-* seeds are derived in the parent, once, exactly as the serial loop
-  derives them, and shipped to workers inside the chunk payload;
-* the workload is realized once per experiment and shipped through
-  :mod:`repro.net.serialization` (bit-faithful round trip), never
-  re-generated per trial;
-* workers execute :func:`~repro.sim.runner.run_experiment_trial` — the
-  same code path the serial executor uses.
-
-Failure surface: a worker exception (or a crashed worker process, or a
-chunk exceeding its timeout budget) is raised in the parent as a typed
+Failure surface: without a retry policy, a worker exception (or a
+crashed worker process, or a chunk exceeding its timeout budget) is
+raised in the parent as a typed
 :class:`~repro.exceptions.TrialExecutionError` /
 :class:`~repro.exceptions.TrialTimeoutError` carrying the experiment
 name, the chunk's trial indices and the campaign base seed, so the
@@ -28,19 +29,18 @@ failing trial can be replayed in-process (see ``docs/parallel.md``).
 
 from __future__ import annotations
 
-import concurrent.futures
 import multiprocessing
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Dict,
     List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -50,20 +50,16 @@ if TYPE_CHECKING:  # imported lazily to keep sim decoupled from resilience
 
 from ..exceptions import ConfigurationError, TrialExecutionError, TrialTimeoutError
 from ..net.network import M2HeWNetwork
-from ..net.serialization import network_from_json, network_to_json
+from ..net.serialization import network_from_json
 from .results import DiscoveryResult
-from .rng import derive_trial_seed
-from .runner import (
-    run_experiment_grid_batched,
-    run_experiment_trial,
-    run_experiment_trials_batched,
-)
+from .runner import run_experiment_grid_batched, run_experiment_trial
 
 __all__ = [
     "BACKENDS",
     "ParallelPlan",
     "chunk_indices",
     "default_chunk_size",
+    "merge_batch_size",
     "pool_supported",
     "preferred_start_method",
     "resolve_plan",
@@ -73,11 +69,11 @@ __all__ = [
 
 #: Accepted ``backend`` values: ``auto`` picks ``process`` when more
 #: than one worker is requested and the platform can host a pool,
-#: degrading to ``serial`` otherwise. ``vectorized`` routes each
-#: dispatch unit through the trial-batched engine
-#: (:func:`~repro.sim.runner.run_experiment_trials_batched`) — with
+#: degrading to ``serial`` otherwise. ``vectorized`` routes each chunk
+#: through the grid-batched engine
+#: (:func:`~repro.sim.runner.run_experiment_grid_batched`) — with
 #: workers the pool's chunks *are* the batches — falling back to the
-#: serial per-trial loop for campaigns the batched engine cannot take.
+#: per-trial loop for spec points the batched engine cannot take.
 BACKENDS = ("auto", "serial", "process", "vectorized")
 
 #: Default dispatch granularity: enough chunks that the pool stays busy
@@ -87,15 +83,15 @@ _CHUNKS_PER_WORKER = 4
 
 @dataclass(frozen=True)
 class ParallelPlan:
-    """A resolved execution plan for one experiment's trials.
+    """A resolved execution plan for one spec group's trials.
 
     Attributes:
         backend: ``"serial"`` or ``"process"`` (never ``"auto"``).
         max_workers: Worker processes (1 for the serial backend).
-        chunk_size: Trials shipped per dispatch unit.
+        chunk_size: Trials per dispatch unit.
         start_method: Multiprocessing start method for the pool, or
             ``None`` for the serial backend.
-        vectorized: Execute each dispatch unit through the trial-batched
+        vectorized: Execute each dispatch unit through the grid-batched
             engine (its chunk becomes one batch) instead of a per-trial
             loop. Output is byte-identical either way.
     """
@@ -153,6 +149,10 @@ def resolve_plan(
     :class:`~repro.exceptions.ConfigurationError` instead of a silent
     behavior change. ``backend="vectorized"`` keeps its batched
     execution either way — only the pool degrades, never the batching.
+
+    Serial plans default to per-trial chunks (one progress report, one
+    journal write and one replayable index per trial), or to a single
+    batch of every trial when vectorized.
     """
     if backend not in BACKENDS:
         raise ConfigurationError(
@@ -181,7 +181,7 @@ def resolve_plan(
         return ParallelPlan(
             backend="serial",
             max_workers=1,
-            chunk_size=chunk_size or trials,
+            chunk_size=chunk_size or (trials if vectorized else 1),
             start_method=None,
             vectorized=vectorized,
         )
@@ -195,31 +195,29 @@ def resolve_plan(
     )
 
 
+def merge_batch_size(
+    backend: str, chunk_size: Optional[int], batch_size: Optional[int]
+) -> Optional[int]:
+    """Fold ``batch_size`` into ``chunk_size`` (vectorized chunks ARE batches)."""
+    if batch_size is None:
+        return chunk_size
+    if backend != "vectorized":
+        raise ConfigurationError(
+            "batch_size is only meaningful with backend='vectorized'"
+        )
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    if chunk_size is not None and chunk_size != batch_size:
+        raise ConfigurationError(
+            "pass either chunk_size or batch_size, not conflicting "
+            "values: with backend='vectorized' chunks are batches"
+        )
+    return batch_size
+
+
 # ----------------------------------------------------------------------
-# chunked dispatch
+# chunks
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ChunkPayload:
-    """Everything a worker needs to run one chunk of trials.
-
-    Self-contained and picklable under any start method: the workload
-    travels as its compact JSON form and the per-trial seeds as
-    :class:`numpy.random.SeedSequence` objects derived in the parent.
-    """
-
-    network_json: str
-    protocol: str
-    runner_params: Dict[str, Any]
-    trial_indices: Tuple[int, ...]
-    seeds: Tuple[np.random.SeedSequence, ...]
-    vectorized: bool = False
-    #: Chaos injection (supervised campaigns only): the plan and the
-    #: chunk's zero-based attempt number travel with the payload so a
-    #: "fail the first k attempts" event reproduces across processes.
-    chaos: Optional["ChaosPlan"] = None
-    attempt: int = 0
 
 
 def chunk_indices(trials: int, chunk_size: int) -> List[Tuple[int, ...]]:
@@ -234,29 +232,55 @@ def chunk_indices(trials: int, chunk_size: int) -> List[Tuple[int, ...]]:
     ]
 
 
-def _run_chunk(payload: _ChunkPayload) -> List[DiscoveryResult]:
-    """Worker entry point: rebuild the workload, run the chunk in order."""
+@dataclass(frozen=True)
+class _ChunkPayload:
+    """Everything a worker needs to run one chunk, apart from the network.
+
+    ``entries[k]`` is ``(protocol, runner_params, trials)``: a spec point
+    and which of the chunk's ``trial_indices`` it runs — one entry per
+    chunk, or one per fused spec point of a grid chunk. ``seeds`` align
+    with ``trial_indices``, so the payload pickles under any start method.
+    """
+
+    entries: Tuple[Tuple[str, Mapping[str, Any], Tuple[int, ...]], ...]
+    trial_indices: Tuple[int, ...]
+    seeds: Tuple[np.random.SeedSequence, ...]
+    vectorized: bool = False
+    #: Chaos injection (supervised campaigns only): the plan and the
+    #: chunk's zero-based attempt number travel with the payload so a
+    #: "fail the first k attempts" event reproduces across processes.
+    chaos: Optional["ChaosPlan"] = None
+    attempt: int = 0
+
+
+def _run_chunk(
+    payload: _ChunkPayload, network: Union[M2HeWNetwork, str]
+) -> List[List[DiscoveryResult]]:
+    """Run one chunk: results per entry, in each entry's trial order.
+
+    ``network`` is the live object when the chunk runs in-process, its
+    JSON form when it ran through a pool or a work queue.
+    """
     if payload.chaos is not None:
         # Raises or kills the worker when the plan covers this attempt;
         # no-op otherwise. The plan object travels inside the payload so
         # this module never imports the resilience package.
         payload.chaos.strike(payload.trial_indices, payload.attempt)
-    network = network_from_json(payload.network_json)
+    if isinstance(network, str):
+        network = network_from_json(network)
+    seed_of = dict(zip(payload.trial_indices, payload.seeds))
+    entries = [
+        (protocol, [seed_of[t] for t in trials], params)
+        for protocol, params, trials in payload.entries
+    ]
     if payload.vectorized:
-        return run_experiment_trials_batched(
-            network,
-            payload.protocol,
-            payload.seeds,
-            runner_params=payload.runner_params,
-        )
+        return run_experiment_grid_batched(network, entries)
     return [
-        run_experiment_trial(
-            network,
-            payload.protocol,
-            seed=seed,
-            runner_params=payload.runner_params,
-        )
-        for seed in payload.seeds
+        [
+            run_experiment_trial(network, protocol, seed=seed, runner_params=params)
+            for seed in seeds
+        ]
+        for protocol, seeds, params in entries
     ]
 
 
@@ -283,73 +307,9 @@ def _wrap_failure(
     return err
 
 
-def _collect_in_order(
-    pending: Sequence[Tuple[Tuple[int, ...], Any]],
-    *,
-    trial_timeout: Optional[float],
-    experiment: Optional[str],
-    base_seed: Optional[int],
-    on_progress: Optional[Callable[[int, int], None]] = None,
-    total: int = 0,
-) -> List[DiscoveryResult]:
-    """Await ``(indices, future)`` pairs in dispatch order.
-
-    Each chunk's wall-clock budget is ``trial_timeout × len(chunk)``,
-    counted from when we start waiting on it; chunks complete out of
-    order inside the pool but results are reassembled by index here.
-    ``on_progress`` (if given) fires after each chunk is *collected* —
-    i.e. in dispatch order, never in completion order — with
-    ``(trials collected so far, total)``. Factored out of
-    :func:`run_spec_trials` so the timeout and crash paths are
-    unit-testable with stub futures on any platform.
-    """
-    results: List[DiscoveryResult] = []
-    for indices, future in pending:
-        budget = None if trial_timeout is None else trial_timeout * len(indices)
-        try:
-            results.extend(future.result(timeout=budget))
-        except concurrent.futures.TimeoutError as exc:
-            raise _wrap_failure(
-                exc,
-                kind="timed out",
-                experiment=experiment,
-                indices=indices,
-                base_seed=base_seed,
-                timed_out=True,
-            ) from exc
-        except TrialExecutionError:
-            raise
-        except Exception as exc:
-            raise _wrap_failure(
-                exc,
-                kind="failed",
-                experiment=experiment,
-                indices=indices,
-                base_seed=base_seed,
-            ) from exc
-        if on_progress is not None:
-            on_progress(len(results), total)
-    return results
-
-
-def _merge_batch_size(
-    backend: str, chunk_size: Optional[int], batch_size: Optional[int]
-) -> Optional[int]:
-    """Fold ``batch_size`` into ``chunk_size`` (vectorized chunks ARE batches)."""
-    if batch_size is None:
-        return chunk_size
-    if backend != "vectorized":
-        raise ConfigurationError(
-            "batch_size is only meaningful with backend='vectorized'"
-        )
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    if chunk_size is not None and chunk_size != batch_size:
-        raise ConfigurationError(
-            "pass either chunk_size or batch_size, not conflicting "
-            "values: with backend='vectorized' chunks are batches"
-        )
-    return batch_size
+# ----------------------------------------------------------------------
+# fail-fast entry points
+# ----------------------------------------------------------------------
 
 
 def run_spec_trials(
@@ -372,10 +332,12 @@ def run_spec_trials(
     Trial ``t`` always uses ``derive_trial_seed(base_seed, t)`` and the
     returned list is always ordered by trial index, so the output is
     bitwise independent of ``max_workers``, ``backend``, ``chunk_size``
-    and ``batch_size``.
+    and ``batch_size``. This is the one dispatch path
+    (:func:`~repro.resilience.supervisor.run_trial_group`) under its
+    fail-fast policy: no retries, the first failing chunk aborts.
 
     Args:
-        network: The realized workload (shipped to workers via
+        network: The realized workload (shipped to pool workers via
             :mod:`repro.net.serialization`, never re-generated).
         protocol: Any :data:`~repro.sim.runner.SYNC_PROTOCOLS` name or
             ``algorithm4``.
@@ -385,168 +347,46 @@ def run_spec_trials(
         runner_params: Extra keyword arguments for the runners.
         max_workers: Worker processes; 1 means serial.
         backend: One of :data:`BACKENDS`.
-        chunk_size: Trials per dispatch unit (default: auto).
+        chunk_size: Trials per dispatch unit (default: per trial when
+            serial, one batch when vectorized, auto when pooled).
         batch_size: Trials per vectorized batch (default: all trials
             when serial, the chunk size when pooled — chunks *are*
             batches). Only meaningful with ``backend="vectorized"``.
-        trial_timeout: Per-trial wall-clock budget in seconds; a chunk
-            gets ``trial_timeout × len(chunk)``. Exceeding it aborts
-            the campaign with :class:`TrialTimeoutError`.
+        trial_timeout: Per-trial wall-clock budget in seconds; a pooled
+            chunk gets ``trial_timeout × len(chunk)``. Exceeding it
+            aborts the campaign with :class:`TrialTimeoutError`.
         experiment: Label used in error messages.
         on_progress: Optional observer called with ``(completed,
-            trials)`` as execution advances — per trial on the serial
-            path, per batch on the vectorized path, per collected chunk
-            on the pooled path (always in dispatch order). Purely
-            observational: it sees results only after they exist, so it
-            cannot perturb archived bytes. An exception it raises aborts
-            the campaign (callers use this for cooperative
-            cancellation).
+            trials)`` after every collected chunk — per trial on the
+            serial path, per batch on the vectorized path, always in
+            dispatch order. Purely observational: it sees results only
+            after they exist, so it cannot perturb archived bytes. An
+            exception it raises aborts the campaign (callers use this
+            for cooperative cancellation).
 
     Raises:
-        TrialExecutionError: A trial raised in a worker (or the worker
-            process died); carries the trial indices and base seed.
+        TrialExecutionError: A trial raised (or the worker process
+            died); carries the trial indices and base seed.
         TrialTimeoutError: A chunk exceeded its budget.
     """
-    chunk_size = _merge_batch_size(backend, chunk_size, batch_size)
-    plan = resolve_plan(
-        trials, max_workers=max_workers, backend=backend, chunk_size=chunk_size
-    )
-    params: Dict[str, Any] = dict(runner_params or {})
-    seeds = [derive_trial_seed(base_seed, t) for t in range(trials)]
+    from ..resilience.supervisor import GroupEntry, run_trial_group
 
-    if plan.backend == "serial":
-        if plan.vectorized:
-            results_v: List[DiscoveryResult] = []
-            for indices in chunk_indices(trials, plan.chunk_size):
-                try:
-                    results_v.extend(
-                        run_experiment_trials_batched(
-                            network,
-                            protocol,
-                            [seeds[i] for i in indices],
-                            runner_params=params,
-                        )
-                    )
-                except TrialExecutionError:
-                    # Already typed with replay info; re-wrapping would
-                    # bury the original trial indices one level deep.
-                    raise
-                except Exception as exc:
-                    raise _wrap_failure(
-                        exc,
-                        kind="failed",
-                        experiment=experiment,
-                        indices=indices,
-                        base_seed=base_seed,
-                    ) from exc
-                if on_progress is not None:
-                    on_progress(len(results_v), trials)
-            return results_v
-        results: List[DiscoveryResult] = []
-        for t in range(trials):
-            try:
-                results.append(
-                    run_experiment_trial(
-                        network, protocol, seed=seeds[t], runner_params=params
-                    )
-                )
-            except TrialExecutionError:
-                raise
-            except Exception as exc:
-                raise _wrap_failure(
-                    exc,
-                    kind="failed",
-                    experiment=experiment,
-                    indices=(t,),
-                    base_seed=base_seed,
-                ) from exc
-            if on_progress is not None:
-                on_progress(t + 1, trials)
-        return results
-
-    network_json = network_to_json(network)
-    chunks = chunk_indices(trials, plan.chunk_size)
-    context = multiprocessing.get_context(plan.start_method)
-    executor = concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(plan.max_workers, len(chunks)), mp_context=context
-    )
-    try:
-        pending = [
-            (
-                indices,
-                executor.submit(
-                    _run_chunk,
-                    _ChunkPayload(
-                        network_json=network_json,
-                        protocol=protocol,
-                        runner_params=params,
-                        trial_indices=indices,
-                        seeds=tuple(seeds[i] for i in indices),
-                        vectorized=plan.vectorized,
-                    ),
-                ),
-            )
-            for indices in chunks
-        ]
-        return _collect_in_order(
-            pending,
-            trial_timeout=trial_timeout,
-            experiment=experiment,
-            base_seed=base_seed,
-            on_progress=on_progress,
-            total=trials,
-        )
-    finally:
-        # A timed-out worker cannot be interrupted cooperatively; drop
-        # the whole pool so stragglers do not outlive the campaign.
-        executor.shutdown(wait=False, cancel_futures=True)
-
-
-# ----------------------------------------------------------------------
-# grid dispatch: many spec points through one kernel pass
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _GridChunkPayload:
-    """One trial-index chunk of a multi-spec grid campaign.
-
-    Like :class:`_ChunkPayload`, but carrying *every* spec point of the
-    grid: the worker fuses the chunk's trials of all entries into one
-    (or few) :class:`~repro.sim.batched.GridBatchedSimulator` passes.
-    ``entries[j]`` is ``(protocol, trials, runner_params)``; only trial
-    indices below an entry's own count participate in the chunk.
-    """
-
-    network_json: str
-    entries: Tuple[Tuple[str, int, Dict[str, Any]], ...]
-    trial_indices: Tuple[int, ...]
-    seeds: Tuple[np.random.SeedSequence, ...]
-
-
-def _run_grid_chunk(
-    payload: _GridChunkPayload,
-) -> List[List[DiscoveryResult]]:
-    """Worker entry point: one grid pass over the chunk's trial slice."""
-    network = network_from_json(payload.network_json)
-    lo = payload.trial_indices[0]
-    return run_experiment_grid_batched(
+    (outcome,) = run_trial_group(
         network,
-        [
-            (
-                protocol,
-                # Entry j's own seed factories for the chunk's trials it
-                # actually has; trial t always maps to seeds[t - lo].
-                [
-                    payload.seeds[t - lo]
-                    for t in payload.trial_indices
-                    if t < trials
-                ],
-                params,
-            )
-            for protocol, trials, params in payload.entries
-        ],
+        [GroupEntry(experiment, protocol, trials, dict(runner_params or {}))],
+        base_seed=base_seed,
+        max_workers=max_workers,
+        backend=backend,
+        chunk_size=merge_batch_size(backend, chunk_size, batch_size),
+        trial_timeout=trial_timeout,
+        label=experiment,
+        on_progress=(
+            None
+            if on_progress is None
+            else lambda _entry, done, total: on_progress(done, total)
+        ),
     )
+    return [result for _, result in outcome.results_in_order()]
 
 
 def run_grid_spec_trials(
@@ -573,8 +413,8 @@ def run_grid_spec_trials(
     pin across G and B).
 
     The trial axis is chunked jointly: each chunk carries the
-    participating trials of all entries, and a worker fuses them into
-    one kernel pass (see
+    participating trials of all entries, and one kernel pass advances
+    them together (see
     :func:`~repro.sim.runner.run_experiment_grid_batched` for the
     eligibility and stopping-condition grouping rules). ``on_progress``
     (if given) fires per collected chunk, in dispatch order, with
@@ -582,114 +422,27 @@ def run_grid_spec_trials(
     that advanced.
 
     Raises:
-        TrialExecutionError: A trial raised in a worker (or the worker
-            process died); carries the chunk's trial indices.
+        TrialExecutionError: A trial raised (or the worker process
+            died); carries the chunk's trial indices.
         TrialTimeoutError: A chunk exceeded its wall-clock budget.
     """
-    if not entries:
-        raise ConfigurationError("grid needs at least one entry")
-    normalized: List[Tuple[str, int, Dict[str, Any]]] = []
-    for protocol, trials, runner_params in entries:
-        if trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {trials}")
-        normalized.append((protocol, int(trials), dict(runner_params or {})))
-    max_trials = max(trials for _, trials, _ in normalized)
-    chunk_size = _merge_batch_size("vectorized", chunk_size, batch_size)
-    plan = resolve_plan(
-        max_trials,
+    from ..resilience.supervisor import GroupEntry, run_trial_group
+
+    outcomes = run_trial_group(
+        network,
+        [
+            GroupEntry(experiment, protocol, trials, dict(params or {}))
+            for protocol, trials, params in entries
+        ],
+        base_seed=base_seed,
         max_workers=max_workers,
         backend="vectorized",
-        chunk_size=chunk_size,
+        chunk_size=merge_batch_size("vectorized", chunk_size, batch_size),
+        trial_timeout=trial_timeout,
+        label=experiment,
+        on_progress=on_progress,
     )
-    seeds = [derive_trial_seed(base_seed, t) for t in range(max_trials)]
-    chunks = chunk_indices(max_trials, plan.chunk_size)
-    collected: List[List[DiscoveryResult]] = [[] for _ in normalized]
-
-    def _absorb(chunk_results: List[List[DiscoveryResult]]) -> None:
-        for j, group in enumerate(chunk_results):
-            collected[j].extend(group)
-            if on_progress is not None and group:
-                on_progress(j, len(collected[j]), normalized[j][1])
-
-    if plan.backend == "serial":
-        for indices in chunks:
-            try:
-                _absorb(
-                    run_experiment_grid_batched(
-                        network,
-                        [
-                            (
-                                protocol,
-                                [seeds[t] for t in indices if t < trials],
-                                params,
-                            )
-                            for protocol, trials, params in normalized
-                        ],
-                    )
-                )
-            except TrialExecutionError:
-                raise
-            except Exception as exc:
-                raise _wrap_failure(
-                    exc,
-                    kind="failed",
-                    experiment=experiment,
-                    indices=indices,
-                    base_seed=base_seed,
-                ) from exc
-        return collected
-
-    network_json = network_to_json(network)
-    context = multiprocessing.get_context(plan.start_method)
-    executor = concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(plan.max_workers, len(chunks)), mp_context=context
-    )
-    try:
-        pending = [
-            (
-                indices,
-                executor.submit(
-                    _run_grid_chunk,
-                    _GridChunkPayload(
-                        network_json=network_json,
-                        entries=tuple(normalized),
-                        trial_indices=indices,
-                        seeds=tuple(seeds[i] for i in indices),
-                    ),
-                ),
-            )
-            for indices in chunks
-        ]
-        for indices, future in pending:
-            # Budget covers every entry's participating trials.
-            rows = sum(
-                1
-                for _, trials, _ in normalized
-                for t in indices
-                if t < trials
-            )
-            budget = None if trial_timeout is None else trial_timeout * rows
-            try:
-                _absorb(future.result(timeout=budget))
-            except concurrent.futures.TimeoutError as exc:
-                raise _wrap_failure(
-                    exc,
-                    kind="timed out",
-                    experiment=experiment,
-                    indices=indices,
-                    base_seed=base_seed,
-                    timed_out=True,
-                ) from exc
-            except TrialExecutionError:
-                raise
-            except Exception as exc:
-                raise _wrap_failure(
-                    exc,
-                    kind="failed",
-                    experiment=experiment,
-                    indices=indices,
-                    base_seed=base_seed,
-                ) from exc
-        return collected
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+    return [
+        [result for _, result in outcome.results_in_order()]
+        for outcome in outcomes
+    ]

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..core.registry import (
     ASYNCHRONOUS_PROTOCOLS,
-    BATCHED_PROTOCOLS,
     SYNCHRONOUS_PROTOCOLS,
     VECTORIZED_PROTOCOLS,
     make_async_factory,
@@ -76,7 +75,6 @@ __all__ = [
     "run_asynchronous",
     "run_experiment_trial",
     "run_experiment_grid_batched",
-    "run_experiment_trials_batched",
     "replay_trial",
     "run_trials",
     "make_clocks",
@@ -439,61 +437,8 @@ _BATCHABLE_PARAMS = frozenset(
 )
 
 
-def run_experiment_trials_batched(
-    network: M2HeWNetwork,
-    protocol: str,
-    seeds: Sequence[np.random.SeedSequence],
-    *,
-    runner_params: Optional[Mapping[str, Any]] = None,
-) -> List[DiscoveryResult]:
-    """Run a group of batch-experiment trials, vectorized when possible.
-
-    Eligible campaigns — a protocol the registry marks ``batched``, on
-    the fast/auto engine, with only :data:`_BATCHABLE_PARAMS`
-    parameters — execute as one
-    :class:`~repro.sim.batched.BatchedSlottedSimulator` batch; anything
-    else (``algorithm4``, non-vectorized rivals like ``mcdis``,
-    ``engine="reference"``, traces, baseline parameters) falls back to
-    the serial :func:`run_experiment_trial` loop. Either way trial
-    ``i``'s result is byte-identical to the serial path, so callers may
-    group seeds freely — the grouping invariance
-    ``run_batch(backend="vectorized")`` pins with tests.
-    """
-    from .batched import BatchedSlottedSimulator
-
-    seed_list = list(seeds)
-    params: Dict[str, Any] = dict(runner_params or {})
-    if not grid_batchable(protocol, params) or not seed_list:
-        return [
-            run_experiment_trial(
-                network, protocol, seed=s, runner_params=runner_params
-            )
-            for s in seed_list
-        ]
-    params.setdefault("max_slots", 200_000)
-    schedule = _vector_schedule(protocol, network, params.get("delta_est"))
-    sim = BatchedSlottedSimulator(
-        network,
-        schedule,
-        [RngFactory(s) for s in seed_list],
-        start_offsets=params.get("start_offsets"),
-        erasure_prob=params.get("erasure_prob", 0.0),
-        faults=_resolve_faults(params.get("faults")),
-    )
-    stopping = StoppingCondition(
-        max_slots=params["max_slots"],
-        stop_on_full_coverage=params.get("stop_on_full_coverage", True),
-    )
-    results = sim.run(stopping)
-    for result in results:
-        result.metadata["protocol"] = protocol
-        result.metadata["delta_est"] = params.get("delta_est")
-    return results
-
-
 #: One spec point of a grid batch: ``(protocol, per-trial seeds,
-#: runner_params)`` — the same coordinates
-#: :func:`run_experiment_trials_batched` takes, carried per entry.
+#: runner_params)``.
 GridEntry = Tuple[
     str, Sequence[np.random.SeedSequence], Optional[Mapping[str, Any]]
 ]
@@ -504,15 +449,14 @@ def grid_batchable(
 ) -> bool:
     """Whether one spec point is eligible for the batched/grid kernel.
 
-    The same eligibility rule :func:`run_experiment_trials_batched`
-    applies per group: a protocol the registry marks ``batched``, on the
-    fast/auto engine, with only :data:`_BATCHABLE_PARAMS` parameters.
-    Exposed so campaign layers can decide *before* dispatch whether spec
-    points may fuse into one grid.
+    A protocol the registry marks ``vectorized``, on the fast/auto
+    engine, with only :data:`_BATCHABLE_PARAMS` parameters. Exposed so
+    campaign layers can decide *before* dispatch whether spec points
+    may fuse into one grid.
     """
     params = dict(runner_params or {})
     return (
-        protocol in BATCHED_PROTOCOLS
+        protocol in VECTORIZED_PROTOCOLS
         and params.get("engine", "auto") in ("auto", "fast")
         and set(params) <= _BATCHABLE_PARAMS
     )
@@ -531,11 +475,13 @@ def run_experiment_grid_batched(
     grid-eligible (:func:`grid_batchable`) and share a stopping
     condition (``max_slots`` + ``stop_on_full_coverage``) advance
     together in one :class:`~repro.sim.batched.GridBatchedSimulator`
-    kernel pass; everything else falls back to
-    :func:`run_experiment_trials_batched` per entry. Either way entry
-    ``j``'s results are byte-identical to running it alone — grid
-    fusion is a dispatch optimization, invariant by construction, and
-    the differential tests pin it across G and B.
+    kernel pass; everything else (``algorithm4``, non-vectorized rivals
+    like ``mcdis``, ``engine="reference"``, traces, baseline
+    parameters) falls back to the per-trial :func:`run_experiment_trial`
+    loop. Either way entry ``j``'s results are byte-identical to running
+    it alone, trial by trial — grid fusion is a dispatch optimization,
+    invariant by construction, and the differential tests pin it across
+    G and B. A single entry (G=1) is the trial-batched engine.
 
     Returns one result list per entry, in entry order.
     """
@@ -546,9 +492,12 @@ def run_experiment_grid_batched(
     for j, (protocol, seeds, runner_params) in enumerate(entries):
         params = dict(runner_params or {})
         if not grid_batchable(protocol, params) or not list(seeds):
-            results[j] = run_experiment_trials_batched(
-                network, protocol, seeds, runner_params=runner_params
-            )
+            results[j] = [
+                run_experiment_trial(
+                    network, protocol, seed=s, runner_params=runner_params
+                )
+                for s in seeds
+            ]
             continue
         key = (
             int(params.get("max_slots", 200_000)),

@@ -27,8 +27,8 @@ from repro.sim.parallel import run_spec_trials
 from repro.sim.rng import RngFactory, derive_trial_seed
 from repro.sim.runner import (
     _vector_schedule,
+    run_experiment_grid_batched,
     run_experiment_trial,
-    run_experiment_trials_batched,
 )
 from repro.sim.stopping import StoppingCondition
 from repro.workloads.generator import WorkloadConfig
@@ -211,8 +211,8 @@ class TestVectorizedFallbacks:
             )
             for s in seeds
         ]
-        actual = run_experiment_trials_batched(
-            net, "algorithm1", seeds, runner_params=params
+        (actual,) = run_experiment_grid_batched(
+            net, [("algorithm1", seeds, params)]
         )
         assert actual == expected
 
@@ -226,12 +226,9 @@ class TestVectorizedFallbacks:
             )
             for s in seeds
         ]
-        assert (
-            run_experiment_trials_batched(
-                net, "algorithm2", seeds, runner_params=params
-            )
-            == expected
-        )
+        assert run_experiment_grid_batched(
+            net, [("algorithm2", seeds, params)]
+        ) == [expected]
 
 
 class TestValidation:

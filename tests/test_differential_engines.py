@@ -39,8 +39,8 @@ from repro.sim.runner import (
     SYNC_PROTOCOLS,
     VECTORIZED_SYNC_PROTOCOLS,
     experiment_runner_params,
+    run_experiment_grid_batched,
     run_experiment_trial,
-    run_experiment_trials_batched,
     run_synchronous,
 )
 
@@ -84,11 +84,8 @@ def completion_times(net, protocol, engine, delta_est):
 
 def batched_completion_times(net, protocol, delta_est):
     seeds = [derive_trial_seed(BASE_SEED, t) for t in range(SEEDS)]
-    results = run_experiment_trials_batched(
-        net,
-        protocol,
-        seeds,
-        runner_params=diff_params(net, protocol, delta_est=delta_est),
+    (results,) = run_experiment_grid_batched(
+        net, [(protocol, seeds, diff_params(net, protocol, delta_est=delta_est))]
     )
     for t, result in enumerate(results):
         assert result.completed, (protocol, "batched", t)
@@ -239,9 +236,7 @@ class TestNonVectorizedFallback:
         net = diff_net()
         params = diff_params(net, protocol, max_slots=50_000)
         seeds = [derive_trial_seed(BASE_SEED, t) for t in range(4)]
-        batched = run_experiment_trials_batched(
-            net, protocol, seeds, runner_params=params
-        )
+        (batched,) = run_experiment_grid_batched(net, [(protocol, seeds, params)])
         serial = [
             run_experiment_trial(net, protocol, seed=s, runner_params=params)
             for s in seeds

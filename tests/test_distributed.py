@@ -16,13 +16,16 @@ test needs lease TTLs to elapse — advances a fake monotonic clock that
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 import repro.resilience.distributed as distributed_module
 from repro.exceptions import ConfigurationError
+from repro.net.serialization import network_to_json
 from repro.resilience import (
     LeasePolicy,
     QueueWorker,
@@ -232,6 +235,45 @@ class TestWorkQueue:
         queue.retract_task(task_id)
         assert not queue.write_marker(task_id, 0, "done", {"kind": "done"})
         assert not queue.state_dir(task_id).exists()
+
+    def test_retraction_hides_state_before_deleting_it(
+        self, network, tmp_path, monkeypatch
+    ):
+        # A worker that read the task just before its retraction steps in
+        # while the state directory is being deleted file by file, right
+        # after a finished chunk's done marker went. It must not find the
+        # chunk claimable (re-running it and leaving the directory behind).
+        queue = WorkQueue(tmp_path)
+        task = {
+            "kind": "task",
+            "schema_version": 1,
+            "experiment": "e",
+            "protocol": "algorithm1",
+            "network": network_to_json(network),
+            "runner_params": PARAMS,
+            "base_seed": 7,
+            "chunks": [[0]],
+            "chaos": None,
+        }
+        task_id = queue.publish_task(task)
+        assert queue.write_marker(task_id, 0, "done", {"kind": "done", "chunk": 0})
+        late = QueueWorker(WorkQueue(tmp_path), "late")
+        monkeypatch.setattr(late.queue, "list_tasks", lambda: [task_id])
+        monkeypatch.setattr(late.queue, "read_task", lambda _id: task)
+        real_rmtree = shutil.rmtree
+        steps = []
+
+        def racing_rmtree(path, *args, **kwargs):
+            for child in sorted(Path(path).iterdir()):
+                child.unlink()
+                steps.append(late.step())
+            real_rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(distributed_module.shutil, "rmtree", racing_rmtree)
+        queue.retract_task(task_id)
+        assert steps == [None]
+        assert late.executed == 0
+        assert sorted(p.name for p in queue.tasks_dir.iterdir()) == []
 
     def test_torn_worker_heartbeat_reads_as_absent(self, tmp_path):
         queue = WorkQueue(tmp_path)

@@ -15,9 +15,9 @@ from repro.exceptions import (
     TrialTimeoutError,
 )
 from repro.net import M2HeWNetwork, NodeSpec
+from repro.resilience.executor import PooledChunkExecutor
 from repro.sim.batch import ExperimentSpec, run_batch
 from repro.sim.parallel import (
-    _collect_in_order,
     chunk_indices,
     default_chunk_size,
     pool_supported,
@@ -254,13 +254,16 @@ class TestFailurePropagation:
 class _StubFuture:
     """Future double: returns a payload, raises, or times out."""
 
-    def __init__(self, payload=None, error=None, timeout=False):
+    def __init__(self, payload=None, error=None, timeout=False, name="", log=None):
         self._payload = payload
         self._error = error
         self._timeout = timeout
+        self._name = name
+        self._log = log if log is not None else []
         self.seen_timeouts = []
 
     def result(self, timeout=None):
+        self._log.append(self._name)
         self.seen_timeouts.append(timeout)
         if self._timeout:
             raise concurrent.futures.TimeoutError()
@@ -268,65 +271,112 @@ class _StubFuture:
             raise self._error
         return self._payload
 
+    def cancel(self):
+        return False
+
+
+class _StubPool:
+    """Pool double: each submitted chunk gets the next scripted future."""
+
+    def __init__(self, futures):
+        self.futures = list(futures)
+        self.submitted = []
+
+    def submit(self, _fn, payload, _network):
+        self.submitted.append(payload.trial_indices)
+        return self.futures.pop(0)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def stub_pool(monkeypatch):
+    """Route the pooled executor's chunks to scripted futures."""
+    monkeypatch.setattr("repro.sim.parallel.pool_supported", lambda: True)
+    pools = []
+
+    def install(*futures):
+        pool = _StubPool(futures)
+        pools.append(pool)
+        monkeypatch.setattr(PooledChunkExecutor, "_pool", lambda _self, _workers: pool)
+        return pool
+
+    yield install
+    assert len(pools) <= 1
+
+
+def _pooled(trials, chunk_size, **kwargs):
+    return run_spec_trials(
+        tiny_net(),
+        "algorithm3",
+        trials=trials,
+        runner_params=PARAMS,
+        max_workers=2,
+        backend="process",
+        chunk_size=chunk_size,
+        **kwargs,
+    )
+
 
 class TestCollectInOrder:
-    """Timeout/crash paths exercised with stub futures — no fork, no
-    pool, no real clocks, so they run identically on every platform."""
+    """Timeout/crash paths of the pooled chunk executor, exercised with
+    stub futures — no fork, no pool, no real clocks, so they run
+    identically on every platform."""
 
-    def test_reassembles_in_dispatch_order(self):
-        pending = [
-            ((0, 1), _StubFuture(payload=["r0", "r1"])),
-            ((2,), _StubFuture(payload=["r2"])),
-        ]
-        out = _collect_in_order(
-            pending, trial_timeout=None, experiment="e", base_seed=0
+    def test_reassembles_in_dispatch_order(self, stub_pool):
+        awaited, progress = [], []
+        stub_pool(
+            _StubFuture(payload=[["r0", "r1"]], name="first", log=awaited),
+            _StubFuture(payload=[["r2"]], name="second", log=awaited),
         )
+        out = _pooled(3, 2, on_progress=lambda done, total: progress.append(done))
         assert out == ["r0", "r1", "r2"]
+        assert awaited == ["first", "second"]
+        assert progress == [2, 3]
 
-    def test_timeout_budget_scales_with_chunk(self):
-        fut = _StubFuture(payload=[])
-        _collect_in_order(
-            [((0, 1, 2), fut)], trial_timeout=1.5, experiment="e", base_seed=0
-        )
+    def test_timeout_budget_scales_with_chunk(self, stub_pool):
+        fut = _StubFuture(payload=[["r0", "r1", "r2"]])
+        stub_pool(fut)
+        _pooled(3, 3, trial_timeout=1.5)
         assert fut.seen_timeouts == [4.5]
 
-    def test_no_timeout_waits_forever(self):
-        fut = _StubFuture(payload=[])
-        _collect_in_order(
-            [((0,), fut)], trial_timeout=None, experiment="e", base_seed=0
-        )
+    def test_no_timeout_waits_forever(self, stub_pool):
+        fut = _StubFuture(payload=[["r0"]])
+        stub_pool(fut)
+        _pooled(1, 1)
         assert fut.seen_timeouts == [None]
 
-    def test_timeout_raises_typed_error(self):
-        pending = [((4, 5), _StubFuture(timeout=True))]
+    def test_timeout_raises_typed_error(self, stub_pool):
+        stub_pool(
+            _StubFuture(payload=[["r0", "r1"]]),
+            _StubFuture(payload=[["r2", "r3"]]),
+            _StubFuture(timeout=True),
+        )
         with pytest.raises(TrialTimeoutError) as info:
-            _collect_in_order(
-                pending, trial_timeout=0.5, experiment="slowpoke", base_seed=11
-            )
+            _pooled(6, 2, trial_timeout=0.5, experiment="slowpoke", base_seed=11)
         err = info.value
         assert err.trial_indices == (4, 5)
         assert err.base_seed == 11
         assert err.experiment == "slowpoke"
         assert "timed out" in str(err)
 
-    def test_crashed_worker_raises_typed_error(self):
-        # BrokenProcessPool is what a hard worker death surfaces as.
+    def test_crashed_worker_raises_typed_error(self, stub_pool):
+        # BrokenProcessPool is what a hard worker death surfaces as;
+        # failing fast means no pool rebuild and no resubmission.
         broken = BrokenProcessPool("worker died")
-        pending = [((0,), _StubFuture(error=broken))]
+        pool = stub_pool(_StubFuture(error=broken))
         with pytest.raises(TrialExecutionError) as info:
-            _collect_in_order(
-                pending, trial_timeout=None, experiment="crash", base_seed=2
-            )
+            _pooled(1, 1, experiment="crash", base_seed=2)
         assert info.value.trial_indices == (0,)
         assert info.value.__cause__ is broken
+        assert pool.submitted == [(0,)]
 
-    def test_typed_errors_pass_through_unwrapped(self):
+    def test_typed_errors_pass_through_unwrapped(self, stub_pool):
         original = TrialExecutionError("inner", trial_indices=(7,), base_seed=1)
-        pending = [((0,), _StubFuture(error=original))]
+        stub_pool(_StubFuture(error=original))
         with pytest.raises(TrialExecutionError) as info:
-            _collect_in_order(
-                pending, trial_timeout=None, experiment="e", base_seed=0
-            )
+            _pooled(1, 1)
         assert info.value is original
 
 

@@ -17,7 +17,6 @@ from repro.core import (
 from repro.core.mcdis import McDisDiscovery
 from repro.core.registry import (
     ASYNCHRONOUS_PROTOCOLS,
-    BATCHED_PROTOCOLS,
     PROTOCOL_SPECS,
     SYNCHRONOUS_PROTOCOLS,
     VECTORIZED_PROTOCOLS,
@@ -109,7 +108,6 @@ class TestSpecTable:
         assert ASYNCHRONOUS_PROTOCOLS == tuple(
             s.name for s in PROTOCOL_SPECS if s.kind == "async"
         )
-        assert set(BATCHED_PROTOCOLS) <= set(VECTORIZED_PROTOCOLS)
         assert set(VECTORIZED_PROTOCOLS) <= set(SYNCHRONOUS_PROTOCOLS)
 
     def test_every_sync_spec_builds(self):
@@ -129,7 +127,7 @@ class TestSpecTable:
             SYNCHRONOUS_PROTOCOLS
         )
         assert protocol_spec("mcdis").vectorized is False
-        assert protocol_spec("robust_flat").batched is True
+        assert protocol_spec("robust_flat").vectorized is True
 
     def test_protocol_spec_unknown_name(self):
         with pytest.raises(ConfigurationError, match="unknown protocol"):
@@ -138,8 +136,6 @@ class TestSpecTable:
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError, match="kind"):
             ProtocolSpec("x", "quantum", "bad kind")
-        with pytest.raises(ConfigurationError, match="vectorized"):
-            ProtocolSpec("x", "sync", "batched needs vectorized", batched=True)
 
 
 class TestAsyncFactory:

@@ -112,14 +112,15 @@ class TestSupervisedIdentity:
 
 class TestQuarantine:
     def test_poison_trial_quarantined_others_survive(self, network, reference):
-        # All six trials share one serial chunk; isolation must salvage
-        # the five healthy ones and quarantine only the poison trial.
+        # All six trials share one chunk; isolation must salvage the
+        # five healthy ones and quarantine only the poison trial.
         outcome = run_supervised_trials(
             network,
             "algorithm1",
             trials=6,
             base_seed=7,
             runner_params=PARAMS,
+            chunk_size=6,
             chaos=ChaosPlan(events=(ChaosEvent(trial=2, mode="raise", times=-1),)),
             policy=FAST_RETRY,
             **NO_SLEEP,
@@ -346,3 +347,106 @@ class TestResilientRunBatch:
         report = verify_archive(tmp_path / "out")
         assert report.ok
         assert report.files_checked == 3
+
+
+def _two_network_specs():
+    """Three vectorizable protocols on each of two networks."""
+    return [
+        ExperimentSpec(
+            name=f"net{seed}_{protocol}",
+            workload=small_workload(),
+            protocol=protocol,
+            trials=4,
+            network_seed=seed,
+            runner_params=dict(PARAMS),
+        )
+        for seed in (0, 1)
+        for protocol in ("algorithm1", "algorithm2", "algorithm3")
+    ]
+
+
+@pytest.fixture(scope="module")
+def clean_archive(tmp_path_factory):
+    """The fail-fast per-trial archive every dispatch choice must match."""
+    out = tmp_path_factory.mktemp("clean")
+    run_batch(_two_network_specs(), base_seed=11, output_dir=out, backend="serial")
+    return _archive_bytes(out)
+
+
+@pytest.fixture
+def grid_passes(monkeypatch):
+    """Rows of every GridBatchedSimulator pass, in order."""
+    from repro.sim.batched import GridBatchedSimulator
+
+    rows = []
+    real_run = GridBatchedSimulator.run
+
+    def counted(self, stopping):
+        rows.append(self.batch_size)
+        return real_run(self, stopping)
+
+    monkeypatch.setattr(GridBatchedSimulator, "run", counted)
+    return rows
+
+
+class TestOneDispatchPath:
+    """Every policy and backend goes through the same chunk executors."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "vectorized"])
+    @pytest.mark.parametrize(
+        "retry", [None, RetryPolicy()], ids=["fail-fast", "retry-policy"]
+    )
+    def test_archive_identical_for_every_policy_and_backend(
+        self, tmp_path, clean_archive, retry, backend
+    ):
+        if backend == "process" and not pool_supported():
+            pytest.skip("platform cannot host a pool")
+        run_batch(
+            _two_network_specs(),
+            base_seed=11,
+            output_dir=tmp_path / "out",
+            max_workers=2,
+            backend=backend,
+            retry=retry,
+        )
+        assert _archive_bytes(tmp_path / "out") == clean_archive
+
+    def test_checkpointed_grid_fuses_and_resumes_identically(
+        self, tmp_path, clean_archive, grid_passes
+    ):
+        specs = _two_network_specs()
+        supervised = dict(backend="vectorized", retry=RetryPolicy(), base_seed=11)
+        run_batch(
+            specs,
+            output_dir=tmp_path / "full",
+            checkpoint_dir=tmp_path / "ck-full",
+            **supervised,
+        )
+        assert grid_passes == [12, 12]  # one pass per network: 3 specs x 4 trials
+        assert _archive_bytes(tmp_path / "full") == clean_archive
+
+        class Killed(Exception):
+            pass
+
+        def kill(_name, _done, _total):
+            raise Killed()
+
+        ck = tmp_path / "ck"
+        with pytest.raises(Killed):
+            run_batch(
+                specs, checkpoint_dir=ck, batch_size=2, on_progress=kill, **supervised
+            )
+        # The first chunk (trials 0-1 of every spec on network 0) was
+        # journaled per entry before the kill; network 1 never started.
+        for spec in specs[:3]:
+            lines = (ck / f"{spec.name}.journal.jsonl").read_text().splitlines()
+            assert [json.loads(line)["trial"] for line in lines[1:]] == [0, 1]
+        assert not (ck / f"{specs[3].name}.journal.jsonl").exists()
+
+        grid_passes.clear()
+        outcomes = run_batch(
+            specs, output_dir=tmp_path / "resumed", checkpoint_dir=ck, **supervised
+        )
+        assert [o.restored for o in outcomes] == [2, 2, 2, 0, 0, 0]
+        assert grid_passes == [6, 12]
+        assert _archive_bytes(tmp_path / "resumed") == clean_archive

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
+import threading
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.service.http import HttpError, _read_request
 from repro.service.jobs import CampaignJob, JobStore
 from repro.service.progress import ProgressTracker
 from repro.service.scheduler import CampaignScheduler, QuotaPolicy
+import repro.service.store as store_module
 from repro.service.store import ResultStore
 from repro.service.worker import execute_job
 from repro.sim.batch import batch_fingerprint, run_batch
@@ -314,6 +317,74 @@ class TestStoreEviction:
         evicted = store.enforce_limits()  # falls back to empty recency
         assert len(evicted) == 1
         assert len(store.stored_fingerprints()) == 2
+
+    def test_touch_during_eviction_pass_survives(self, tmp_path, monkeypatch):
+        # Eviction verifies archives on the job thread while cache hits
+        # touch from the event loop: a touch landing mid-pass must
+        # survive the pass's own index write-back.
+        store, fingerprints = self._filled(tmp_path, max_archives=2)
+        real_verify = store_module.verify_archive
+        touched = []
+
+        def verify_with_cache_hit(path):
+            if not touched:
+                touched.append(fingerprints[1])
+                store.touch(fingerprints[1])
+            return real_verify(path)
+
+        monkeypatch.setattr(store_module, "verify_archive", verify_with_cache_hit)
+        assert store.enforce_limits() == [fingerprints[0]]
+        # The mid-pass touch made fingerprints[1] the most recent, so
+        # the next pass evicts fingerprints[2].
+        store.max_archives = 1
+        assert store.enforce_limits() == [fingerprints[2]]
+
+    def test_concurrent_touches_are_serialized(self, tmp_path, monkeypatch):
+        # Two threads touch at once; neither read-modify-write is lost.
+        store = ResultStore(tmp_path)
+        real_write = store_module.atomic_write_text
+        rivals = []
+
+        def write_with_rival(path, text):
+            if not rivals:
+                rivals.append(
+                    threading.Thread(target=store.touch, args=("b" * 64,))
+                )
+                rivals[0].start()
+                rivals[0].join(timeout=0.5)  # blocks on the index lock
+            real_write(path, text)
+
+        monkeypatch.setattr(store_module, "atomic_write_text", write_with_rival)
+        store.touch("a" * 64)
+        rivals[0].join(timeout=30)
+        assert not rivals[0].is_alive()
+        index = json.loads((tmp_path / ".lru-index.json").read_text())
+        assert index["touched"] == {"a" * 64: 1, "b" * 64: 2}
+        assert index["counter"] == 2
+
+    def test_touch_stress_loses_no_update(self, tmp_path):
+        # More touching threads than cores, switching as often as the
+        # interpreter allows: every index read-modify-write must land.
+        store = ResultStore(tmp_path)
+
+        def touch_many(worker):
+            for i in range(10):
+                store.touch(f"{worker}{i:063d}")
+
+        threads = [threading.Thread(target=touch_many, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        index = json.loads((tmp_path / ".lru-index.json").read_text())
+        assert index["counter"] == 40
+        assert sorted(index["touched"].values()) == list(range(1, 41))
 
 
 class TestQuotaPolicy:
