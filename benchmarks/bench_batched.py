@@ -22,10 +22,13 @@ kernel pass (B=1 measures pure engine overhead against the serial
 loop; doubling B should approach 2× throughput until per-slot numpy
 work dominates).
 
-At N ≥ 500 the serial engine's ``reception="auto"`` already selects
-the sparse kernel (the dense (C, N, N) tensor crosses
-``DENSE_RECEPTION_CEILING``), so those rows measure pure batching
-gain; the smaller rows also fold in the dense→sparse win.
+Both sides resolve reception with the same kernel,
+``SparseReception.resolve``: the serial engine with one row per call,
+the batched engine with all of its rows. Every row therefore measures
+batching gain alone. Until the serial engine's dense (C, N, N) kernel
+was deleted, the N=50 and N=200 rows also folded in the gap between
+the two kernels; the serial side was then slower at N=200, so that
+row's speedup fell when the dense kernel went.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_batched.py``) or
 via pytest-benchmark.
@@ -76,7 +79,7 @@ def _network(n: int, universal: int, per_node: int):
 
 def _serial_campaign(net, schedule, stopping, trials: int):
     """Best-of-3 serial loop, exactly as run_batch's serial backend
-    would dispatch it (one engine per trial, ``reception="auto"``)."""
+    would dispatch it (one engine per trial)."""
     best = float("inf")
     results = None
     for _ in range(3):

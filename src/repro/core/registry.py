@@ -9,9 +9,9 @@ over algorithm-specific parameters.
 The registry is a table of :class:`ProtocolSpec` entries carrying
 **capability flags** next to each name: which parameters the protocol
 requires (``needs_delta_est`` / ``needs_universal`` /
-``needs_id_space``), whether it fits the vectorized engines' uniform
-slot template (``vectorized``) and whether the trial-batched engine may
-take it (``batched``). Every downstream surface — the runner's engine
+``needs_id_space``) and whether it fits the vectorized engines' uniform
+slot template (``vectorized``; such protocols run on the fast engine and
+fuse into grid batches). Every downstream surface — the runner's engine
 auto-selection, batch-campaign validation, the CLI's ``--protocol``
 choices, the conformance test parametrization — derives from this one
 table, so registering a protocol here is the *only* step needed to

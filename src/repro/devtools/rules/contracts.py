@@ -73,15 +73,7 @@ ENGINE_CONTRACT: Dict[str, Tuple[str, frozenset]] = {
     ),
     "sim.fast_slotted": (
         "FastSlottedSimulator",
-        frozenset(
-            {
-                "rng_factory",
-                "start_offsets",
-                "erasure_prob",
-                "faults",
-                "reception",
-            }
-        ),
+        frozenset({"rng_factory", "start_offsets", "erasure_prob", "faults"}),
     ),
     "sim.async_engine": (
         "AsyncSimulator",

@@ -7,9 +7,10 @@ on small hosts, so this engine applies the other classic lever — a
 **batch axis**: one simulator advances ``R`` independent trial rows per
 slot with ``(R, N)``-shaped arrays, and resolves reception for the
 whole batch with one :class:`~repro.sim.fast_slotted.SparseReception`
-scatter call whose keys carry a per-row offset. Per-slot cost scales
-with the batch's actual transmitters and audibility edges, never
-O(R·C·N²), and memory stays O(R·(N + links)).
+call over the flattened rows — the same kernel the serial engine runs
+on its single row. Per-slot cost scales with the batch's actual
+transmitters and audibility edges, never O(R·C·N²), and memory stays
+O(R·(N + links)).
 
 Two batching shapes share the kernel:
 
@@ -68,7 +69,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..net.network import M2HeWNetwork
-from .fast_slotted import SparseReception, VectorSchedule
+from .fast_slotted import SparseReception, VectorSchedule, start_offset_vector
 from .profile import SlotProfiler
 from .results import DiscoveryResult
 from .rng import RngFactory
@@ -223,14 +224,7 @@ class GridBatchedSimulator:
         # serial constructor).
         self._offsets = np.zeros((batch, n), dtype=np.int64)
         for cell, sl in zip(self._cells, slices):
-            base = np.zeros(n, dtype=np.int64)
-            for nid, off in dict(cell.start_offsets or {}).items():
-                if off < 0:
-                    raise ConfigurationError(
-                        f"start offset of node {nid} must be >= 0, got {off}"
-                    )
-                base[self._index[nid]] = int(off)
-            self._offsets[sl] = base
+            self._offsets[sl] = start_offset_vector(self._index, cell.start_offsets)
         if self._runtimes is not None:
             for b, runtime in enumerate(self._runtimes):
                 if runtime is None:
@@ -240,30 +234,16 @@ class GridBatchedSimulator:
                     if join > self._offsets[b, i]:
                         self._offsets[b, i] = join
 
-        # Dense channel indexing shared by every row (identical to the
-        # serial fast engine's).
-        universal = sorted(network.universal_channel_set)
-        dense_of_channel = {c: k for k, c in enumerate(universal)}
-        self._num_dense = len(universal)
-        self._sizes = np.array(
-            [len(network.channels_of(nid)) for nid in self._ids], dtype=np.int64
-        )
-        self._chan_starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self._sizes, out=self._chan_starts[1:])
-        self._chan_flat = np.empty(int(self._chan_starts[-1]), dtype=np.int64)
-        for i, nid in enumerate(self._ids):
-            chans = sorted(network.channels_of(nid))
-            self._chan_flat[self._chan_starts[i] : self._chan_starts[i + 1]] = [
-                dense_of_channel[c] for c in chans
-            ]
+        # The reception kernel and its (channel, node) layout, shared by
+        # every row (the serial fast engine builds the same one).
+        kernel = SparseReception(network)
+        self._kernel = kernel
         if self._runtimes is not None:
             for runtime in self._runtimes:
                 if runtime is not None:
-                    runtime.bind_dense(self._ids, dense_of_channel, self._num_dense)
-
-        # The sparse reception kernel, shared across rows; per-row key
-        # offsets keep the batch's scatter spaces disjoint.
-        self._kernel = SparseReception(network, self._index, universal)
+                    runtime.bind_dense(
+                        self._ids, kernel.dense_of_channel, kernel.num_dense
+                    )
 
         # Links in network.links() order; coverage is stored per row as
         # a (R, num_links) row — O(E) per row, never O(N²). The key /
@@ -328,7 +308,6 @@ class GridBatchedSimulator:
         # future fault model draws per-trial joins) one schedule
         # evaluation per cell serves all its rows.
         self._max_offset = int(self._offsets.max())
-        self._chan_base = self._chan_starts[:-1]
         self._cell_shared: List[Optional[np.ndarray]] = [
             self._offsets[sl][0]
             if bool((self._offsets[sl] == self._offsets[sl][0]).all())
@@ -344,10 +323,9 @@ class GridBatchedSimulator:
         # Homogeneous |A(u)| lets channel picks use a scalar bound —
         # bitstream-identical to the array-bound call (numpy uses the
         # same masked-rejection draw; pinned by a test) but cheaper.
+        sizes = kernel.sizes
         self._scalar_size: Optional[int] = (
-            int(self._sizes[0])
-            if bool((self._sizes == self._sizes[0]).all())
-            else None
+            int(sizes[0]) if bool((sizes == sizes[0]).all()) else None
         )
         # Power-of-two scalar bounds admit an even cheaper pick: numpy's
         # Lemire draw maps each raw 64-bit word to two picks (top bits
@@ -372,15 +350,12 @@ class GridBatchedSimulator:
         # divisions that recovered (row, node, key base) from them.
         self._div_n = np.repeat(self._trial_idx, n)
         self._mod_n = np.tile(self._row_idx, batch)
-        # Last-write-wins sender scratch for edge-centric reception,
-        # read back only at single-transmitter targets.
-        self._sender_flat = np.empty(batch * n, dtype=np.int64)
         if self._has_spectrum:
             # Flat (row, node) base into a raveled (R, N, C) blocked
             # tensor; adding the chosen channel yields gather indices.
             self._spectrum_base = (
                 self._trial_idx[:, None] * n + self._row_idx[None, :]
-            ) * self._num_dense
+            ) * kernel.num_dense
 
     @property
     def batch_size(self) -> int:
@@ -528,19 +503,19 @@ class GridBatchedSimulator:
             for b in proceed_list:
                 pick[b] = streams[b].integers(0, size, n)
         else:
-            sizes = self._sizes
+            sizes = self._kernel.sizes
             for b in proceed_list:
                 pick[b] = streams[b].integers(0, sizes)
         if prof is not None:
             t0 = prof.lap("rng", t0)
-        np.add(self._chan_base, pick, out=self._chan_idx_buf)
-        chan = np.take(self._chan_flat, self._chan_idx_buf, out=self._chan_buf)
+        np.add(self._kernel.chan_base, pick, out=self._chan_idx_buf)
+        chan = np.take(self._kernel.chan_flat, self._chan_idx_buf, out=self._chan_buf)
 
         if runtimes is not None and self._has_spectrum:
             from ..faults.runtime import FaultRuntime
 
             blocked = FaultRuntime.batched_blocked_mask(
-                runtimes, n, self._num_dense
+                runtimes, n, self._kernel.num_dense
             )
             suppressed = blocked.reshape(-1)[self._spectrum_base + chan]
             suppressed &= proceed[:, None]
@@ -553,53 +528,13 @@ class GridBatchedSimulator:
         if prof is not None:
             t0 = prof.lap("channel", t0)
 
-        # --- batched edge-centric reception ---
-        # Expand each transmitter's CSR adjacency segment into edges,
-        # then keep the edges whose target is listening on the sender's
-        # channel. Everything from here is O(edges), never O(listeners)
-        # or O(key space): with Δ_est-scaled transmit probabilities a
-        # slot has few transmitters, so the edge set is far smaller
-        # than the listener set the serial kernel queries. Rows outside
-        # `proceed` are harmless — a transmitter in a listener-less row
-        # finds no audible targets, stale channel picks in such rows
-        # are never compared.
-        chan_flat = chan.reshape(-1)
-        tflat = np.flatnonzero(transmit)
-        tv = self._mod_n[tflat]
-        starts = self._kernel.starts
-        csr = chan_flat[tflat] * n
-        csr += tv
-        edge_counts = starts[csr + 1] - starts[csr]
-        seg_ends = np.cumsum(edge_counts)
-        total = int(seg_ends[-1]) if seg_ends.size else 0
-        if total == 0:
-            if prof is not None:
-                prof.lap("reception", t0)
-            return None
-        shifts = np.repeat(starts[csr] - seg_ends + edge_counts, edge_counts)
-        shifts += np.arange(total, dtype=np.int64)
-        e_u = self._kernel.flat[shifts]
-        # tflat is trial·n + tv, so the edge's flat (trial, target) key
-        # is tflat − tv + target.
-        e_flat = np.repeat(tflat - tv, edge_counts)
-        e_flat += e_u
-        e_chan = np.repeat(chan_flat[tflat], edge_counts)
-        audible = listen.reshape(-1)[e_flat]
-        audible &= chan_flat[e_flat] == e_chan
-        hit = e_flat[audible]
-        if not hit.size:
-            if prof is not None:
-                prof.lap("reception", t0)
-            return None
-        # Per-target multiplicities; np.unique returns ascending flat
-        # indices — the same row-major listener order the serial loop
-        # (and the old listener-query kernel) processes receptions in.
-        uniq, cnt = np.unique(hit, return_counts=True)
-        # Last-write-wins sender scatter: exact wherever cnt == 1, the
-        # only place read; stale elsewhere by contract.
-        self._sender_flat[hit] = np.repeat(tv, edge_counts)[audible]
-        self._collisions_flat[uniq[cnt >= 2]] += 1
-        clear_idx = uniq[cnt == 1]
+        # One reception call for every row. Edges never leave their
+        # row, so rows outside `proceed` (no transmitter or no listener
+        # left, stale channel picks) resolve to nothing.
+        collided, clear_idx, senders_all = self._kernel.resolve(
+            transmit.reshape(-1), listen.reshape(-1), chan.reshape(-1)
+        )
+        self._collisions_flat[collided] += 1
         self._clear_flat[clear_idx] += 1
         if prof is not None:
             t0 = prof.lap("reception", t0)
@@ -626,10 +561,10 @@ class GridBatchedSimulator:
                 else:
                     keep[s0:s1] = True
             clear_idx = clear_idx[keep]
+            senders_all = senders_all[keep]
             if clear_idx.size == 0:
                 return None
         trial_ids = self._div_n[clear_idx]
-        senders_all = self._sender_flat[clear_idx]
         receivers_all = self._mod_n[clear_idx]
 
         if runtimes is not None and self._has_loss:

@@ -4,25 +4,15 @@ All three synchronous algorithms of the paper share one per-slot
 template: *select a channel uniformly at random from* ``A(u)`` *and
 transmit with probability* ``p(u, local_slot)``, *listening otherwise*.
 This engine exploits that: decisions for all nodes are drawn with a few
-numpy operations per slot and receptions are resolved with per-channel
-adjacency structures, giving orders of magnitude more slots per second
-than the reference engine. A test pins the two engines' statistical
-agreement.
+numpy operations per slot and receptions are resolved by
+:class:`SparseReception`, giving orders of magnitude more slots per
+second than the reference engine. A test pins the two engines'
+statistical agreement.
 
-Two interchangeable reception kernels resolve who hears whom (byte-
-identical results, pinned by tests):
-
-* **dense** — a stacked ``(C, N, N)`` float32 audibility tensor and one
-  batched matmul per slot; fastest for small networks, but costs
-  O(C·N²) memory and per-slot work regardless of how few nodes
-  transmit;
-* **sparse** (:class:`SparseReception`) — CSR-style per-channel
-  adjacency plus one ``np.bincount`` scatter-add over the slot's
-  *actual* transmitters, so per-slot cost scales with
-  transmitters-and-edges and memory with O(E). The default above
-  :data:`DENSE_RECEPTION_CEILING` dense entries, and the kernel
-  :class:`~repro.sim.batched.BatchedSlottedSimulator` batches whole
-  trial campaigns through.
+:class:`SparseReception` is the one reception kernel of both vectorized
+engines: this engine resolves one trial row per slot with it, and
+:class:`~repro.sim.batched.GridBatchedSimulator` resolves all of its
+rows in the same call.
 
 The probability schedules live in :class:`VectorSchedule` subclasses —
 one per algorithm — which compute ``p`` for all nodes at once (and
@@ -43,7 +33,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..core.params import stage_length, validate_delta_est
-from ..exceptions import ConfigurationError, SimulationError
+from ..exceptions import ConfigurationError
 from ..net.network import M2HeWNetwork
 from .profile import SlotProfiler
 from .results import DiscoveryResult
@@ -54,8 +44,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep sim/faults decoupled
     from ..faults.plan import FaultPlan
 
 __all__ = [
-    "DENSE_RECEPTION_CEILING",
-    "RECEPTION_KERNELS",
     "SparseReception",
     "VectorSchedule",
     "StagedSchedule",
@@ -63,130 +51,143 @@ __all__ = [
     "GrowingEstimateSchedule",
     "FlatSchedule",
     "FastSlottedSimulator",
+    "start_offset_vector",
 ]
 
-#: Accepted ``reception=`` values for :class:`FastSlottedSimulator`.
-RECEPTION_KERNELS = ("auto", "dense", "sparse")
-
-#: ``reception="auto"`` switches from the dense ``(C, N, N)`` tensor to
-#: the sparse kernel once the tensor would exceed this many entries
-#: (4 MiB of float32 — beyond that the matmul touches more zeros than
-#: the sparse kernel touches edges on any realistic workload).
-DENSE_RECEPTION_CEILING = 1 << 20
+_NONE = np.empty(0, dtype=np.int64)
+_NONE.setflags(write=False)
 
 
 class SparseReception:
-    """CSR per-channel audibility + scatter aggregation over transmitters.
+    """The collision rule of Algorithms 1–3, resolved for many rows at once.
 
-    The structure answers, for one slot, the same two questions the
-    dense matmul answers — per listening slot ``(trial, channel, node)``
-    the number of audible transmitters, and their identity where unique
-    — but via one ``np.bincount`` scatter-add plus a last-write-wins
-    sender scatter in O(E_t + B·C·N), where ``E_t`` is the number of
-    audibility edges leaving the slot's *actual* transmitters, instead
-    of O(C·N²).
+    A listener on channel ``c`` hears ``v`` only when ``v`` is its
+    single audible transmitter on ``c``. :meth:`resolve` applies that
+    rule to ``R`` independent trial rows in one edge-centric scatter:
+    it expands each transmitter's audibility edges, keeps those whose
+    target listens on the transmitter's channel, and counts them per
+    target with ``np.bincount``. Per-slot cost scales with the slot's
+    actual transmitters and their edges plus ``R·N``, never
+    ``R·C·N²``; all arithmetic is exact int64.
 
-    Layout: edges are grouped by ``(dense channel k, transmitter v)``;
-    ``starts[k·N + v] : starts[k·N + v + 1]`` indexes the listeners that
-    hear ``v`` on channel ``k`` in ``flat``. All arithmetic is int64 and
-    exact (the dense float32 path is exact too — small-integer sums —
-    which is why the two kernels are byte-identical).
+    The object also holds the network's (channel, node) layout in node
+    index order (``network.node_ids``), with dense channel ``k`` the
+    ``k``-th smallest channel of the universal set:
 
-    The ``resolve`` key space has room for a leading batch axis: caller
-    ``b`` offsets both transmitter and listener keys by
-    ``b · (num_dense · N)``, which is how
-    :class:`~repro.sim.batched.BatchedSlottedSimulator` resolves every
-    trial of a batch in one call.
+    * ``sizes[i]`` is ``|A(u_i)|`` and node ``i``'s dense channels are
+      ``chan_flat[chan_base[i] : chan_base[i] + sizes[i]]``, ascending,
+      so a uniform pick ``j < sizes[i]`` maps to
+      ``chan_flat[chan_base[i] + j]``;
+    * ``starts[k·N + v] : starts[k·N + v + 1]`` indexes the listeners
+      that hear ``v`` on channel ``k`` in ``flat``.
     """
 
-    def __init__(
-        self,
-        network: M2HeWNetwork,
-        node_index: Mapping[int, int],
-        universal: List[int],
-    ) -> None:
-        n = len(node_index)
+    def __init__(self, network: M2HeWNetwork) -> None:
+        ids = network.node_ids
+        index = {nid: i for i, nid in enumerate(ids)}
+        universal = sorted(network.universal_channel_set)
+        n = len(ids)
         num_dense = len(universal)
+        self.num_nodes = n
+        self.num_dense = num_dense
+        self.dense_of_channel = {c: k for k, c in enumerate(universal)}
+
+        chans = [sorted(network.channels_of(nid)) for nid in ids]
+        self.sizes = np.array([len(cs) for cs in chans], dtype=np.int64)
+        self.chan_base = np.zeros(n, dtype=np.int64)
+        np.cumsum(self.sizes[:-1], out=self.chan_base[1:])
+        self.chan_flat = np.array(
+            [self.dense_of_channel[c] for cs in chans for c in cs], dtype=np.int64
+        )
+
         listeners_of: List[List[int]] = [[] for _ in range(num_dense * n)]
         for k, c in enumerate(universal):
-            for u, i in node_index.items():
+            for u, i in index.items():
                 for v in network.neighbors_on(u, c):
-                    listeners_of[k * n + node_index[v]].append(i)
+                    listeners_of[k * n + index[v]].append(i)
         counts = np.array([len(ls) for ls in listeners_of], dtype=np.int64)
         self.starts = np.zeros(num_dense * n + 1, dtype=np.int64)
         np.cumsum(counts, out=self.starts[1:])
         self.flat = np.empty(int(self.starts[-1]), dtype=np.int64)
         for j, ls in enumerate(listeners_of):
             self.flat[self.starts[j] : self.starts[j + 1]] = sorted(ls)
-        self.num_nodes = n
-        self.num_dense = num_dense
-        # Persistent sender scratch (grown on demand, reused across
-        # slots). Allocating it per call looks cheap in isolation but
-        # at batched sizes (B·C·N ≈ 10⁵ keys, ~768 KiB) a second live
-        # key-space array pushes the allocator to fresh mmaps, and
-        # every slot then pays lazy page faults on first touch —
-        # roughly 350 µs/slot, dwarfing the actual counting work. With
-        # this buffer persistent, ``np.bincount``'s own key-space
-        # output recycles one warm heap block per call.
-        self._sender_scratch: Optional[np.ndarray] = None
 
     def resolve(
-        self,
-        csr_idx: np.ndarray,
-        bases: np.ndarray,
-        senders: np.ndarray,
-        query_keys: np.ndarray,
-        space: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Counts and identity-weighted sums at each listening slot.
+        self, transmit: np.ndarray, listen: np.ndarray, chan: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Who hears whom in one slot, over ``R`` trial rows.
 
         Args:
-            csr_idx: Per transmitter, ``k·N + v`` (its channel row).
-            bases: Per transmitter, the batch offset ``b·(C·N)`` (all
-                zeros for a single trial).
-            senders: Per transmitter, its node index ``v``.
-            query_keys: Per listener, ``b·(C·N) + k·N + u`` for the
-                channel ``k`` it listens on.
-            space: Size of the key space, ``B·C·N`` — the
-                ``np.bincount`` accumulator length.
+            transmit: Flat row-major ``(R·N,)`` mask of transmitting
+                nodes; entry ``r·N + i`` is node ``i`` of row ``r``.
+            listen: Same layout, listening nodes (disjoint from
+                ``transmit``).
+            chan: Same layout, each node's dense channel this slot.
 
         Returns:
-            ``(counts, senders_at)`` int64 arrays aligned with
-            ``query_keys``: the number of audible transmitters on that
-            (trial, channel) as heard by ``u``, and the node index of
-            one of them — **meaningful only where the count is exactly
-            one** (at collided keys it is an arbitrary transmitter, at
-            silent keys uninitialized scratch; callers must mask).
+            ``(collided, clear, senders)``: the ascending flat indices
+            of listeners with two or more audible transmitters, those
+            with exactly one, and, aligned with ``clear``, that one
+            transmitter's node index. Ascending flat order is row by
+            row in node order, the order the serial loop delivers in.
         """
-        edge_counts = self.starts[csr_idx + 1] - self.starts[csr_idx]
-        seg_ends = np.cumsum(edge_counts)
+        n = self.num_nodes
+        # Method forms throughout: at a few transmitters per slot,
+        # numpy's function wrappers cost more than the work itself.
+        tflat = transmit.nonzero()[0]
+        t_chan = chan[tflat]
+        # One row: a flat index is the node index, no row offsets.
+        tv = tflat if transmit.size == n else tflat % n
+        csr = t_chan * n
+        csr += tv
+        # Expand each transmitter's CSR segment into flat edge pointers.
+        first = self.starts[csr]
+        edge_counts = self.starts[csr + 1] - first
+        seg_ends = edge_counts.cumsum()
         total = int(seg_ends[-1]) if seg_ends.size else 0
         if total == 0:
-            zeros = np.zeros(query_keys.shape[0], dtype=np.int64)
-            return zeros, zeros.copy()
-        # Expand each transmitter's CSR segment into flat edge pointers.
-        shifts = np.repeat(
-            self.starts[csr_idx] - seg_ends + edge_counts, edge_counts
-        )
-        shifts += np.arange(total, dtype=np.int64)
-        listeners = self.flat[shifts]
-        # Edge key = batch offset + channel row + listener; the channel
-        # row of transmitter j is csr_idx[j] − senders[j] (= k·N). The
-        # count scatter-add over the (small) dense key space is one
-        # ``np.bincount`` — O(E_t + B·C·N), no sort, exact int64. The
-        # sender identity needs no summation at all: a last-write-wins
-        # scatter into the persistent buffer leaves the *unique*
-        # transmitter wherever the count is one, which is the only
-        # place callers may look (the buffer stays stale at silent
-        # keys: scratch by contract, never cleared).
-        edge_keys = np.repeat(bases + csr_idx - senders, edge_counts)
-        edge_keys += listeners
-        if self._sender_scratch is None or self._sender_scratch.shape[0] < space:
-            self._sender_scratch = np.empty(space, dtype=np.int64)
-        sender_at = self._sender_scratch
-        counts = np.bincount(edge_keys, minlength=space)
-        sender_at[edge_keys] = np.repeat(senders, edge_counts)
-        return counts[query_keys], sender_at[query_keys]
+            return _NONE, _NONE, _NONE
+        first -= seg_ends
+        first += edge_counts
+        shifts = first.repeat(edge_counts)
+        shifts += np.arange(total)
+        # An edge's target stays in its transmitter's row and hears it
+        # only when listening on the transmitter's channel.
+        targets = self.flat[shifts]
+        if tv is not tflat:
+            targets += (tflat - tv).repeat(edge_counts)
+        audible = listen[targets]
+        audible &= chan[targets] == t_chan.repeat(edge_counts)
+        hit = targets[audible]
+        if not hit.size:
+            return _NONE, _NONE, _NONE
+        counts = np.bincount(hit, minlength=listen.size)
+        # Last-write-wins sender scatter: exact wherever the count is
+        # one, the only entries read back.
+        sender_at = np.empty(listen.size, dtype=np.int64)
+        sender_at[hit] = tv.repeat(edge_counts)[audible]
+        clear = (counts == 1).nonzero()[0]
+        return (counts > 1).nonzero()[0], clear, sender_at[clear]
+
+
+def start_offset_vector(
+    index: Mapping[int, int], start_offsets: Optional[Mapping[int, int]]
+) -> np.ndarray:
+    """Per-node start slots in node-index order (absent nodes start at 0).
+
+    Raises :class:`~repro.exceptions.ConfigurationError` for a negative
+    offset or a node id outside ``index``, as every engine does.
+    """
+    offsets = np.zeros(len(index), dtype=np.int64)
+    for nid, off in dict(start_offsets or {}).items():
+        if nid not in index:
+            raise ConfigurationError(f"start offset given for unknown node {nid}")
+        if off < 0:
+            raise ConfigurationError(
+                f"start offset of node {nid} must be >= 0, got {off}"
+            )
+        offsets[index[nid]] = int(off)
+    return offsets
 
 
 class VectorSchedule(abc.ABC):
@@ -305,14 +306,6 @@ class FastSlottedSimulator:
     (same collision rules, start offsets and erasure model); only the
     protocol representation differs — a :class:`VectorSchedule` instead
     of per-node protocol objects.
-
-    ``reception`` selects the kernel that resolves who hears whom:
-    ``"dense"`` (batched matmul over a ``(C, N, N)`` tensor),
-    ``"sparse"`` (:class:`SparseReception`), or ``"auto"`` (dense until
-    the tensor would exceed :data:`DENSE_RECEPTION_CEILING` entries).
-    The choice never changes a single output byte — both kernels
-    compute exact integer counts — it only trades memory for per-slot
-    constant factors.
     """
 
     def __init__(
@@ -323,7 +316,6 @@ class FastSlottedSimulator:
         start_offsets: Optional[Mapping[int, int]] = None,
         erasure_prob: float = 0.0,
         faults: Optional["FaultPlan"] = None,
-        reception: str = "auto",
         *,
         profile: bool = False,
     ) -> None:
@@ -333,11 +325,6 @@ class FastSlottedSimulator:
         if not 0.0 <= erasure_prob < 1.0:
             raise ConfigurationError(
                 f"erasure_prob must be in [0, 1), got {erasure_prob}"
-            )
-        if reception not in RECEPTION_KERNELS:
-            raise ConfigurationError(
-                f"unknown reception kernel {reception!r}; choose from "
-                f"{RECEPTION_KERNELS}"
             )
         self._faults = None
         if faults is not None:
@@ -358,75 +345,19 @@ class FastSlottedSimulator:
         self._rng = rng_factory.stream("fast-engine")
         self._erasure_prob = erasure_prob
 
-        offsets = dict(start_offsets or {})
-        self._offsets = np.zeros(n, dtype=np.int64)
-        for nid, off in offsets.items():
-            if off < 0:
-                raise ConfigurationError(
-                    f"start offset of node {nid} must be >= 0, got {off}"
-                )
-            self._offsets[self._index[nid]] = int(off)
+        self._offsets = start_offset_vector(self._index, start_offsets)
         if self._faults is not None:
             for i, nid in enumerate(self._ids):
                 join = self._faults.join_offset(nid)
                 if join > self._offsets[i]:
                     self._offsets[i] = join
 
-        # Dense channel indexing: flat channel list + per-node extents for
-        # uniform selection, plus per-channel "u hears v and both have c"
-        # matrices for reception resolution.
-        universal = sorted(network.universal_channel_set)
-        self._channel_of_dense = np.asarray(universal, dtype=np.int64)
-        dense_of_channel = {c: k for k, c in enumerate(universal)}
-
-        self._sizes = np.array(
-            [len(network.channels_of(nid)) for nid in self._ids], dtype=np.int64
-        )
-        self._chan_starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self._sizes, out=self._chan_starts[1:])
-        self._chan_flat = np.empty(int(self._chan_starts[-1]), dtype=np.int64)
-        for i, nid in enumerate(self._ids):
-            chans = sorted(network.channels_of(nid))
-            self._chan_flat[self._chan_starts[i] : self._chan_starts[i + 1]] = [
-                dense_of_channel[c] for c in chans
-            ]
-
-        # Reception kernel. Dense: stacked per-channel audibility tensor
-        # (C, N, N) in float32 — reception for a whole slot is one
-        # batched contraction giving, per (listener, channel), the count
-        # of audible transmitters and the identity-weighted sum that
-        # directly yields the sender id where the count is exactly one.
-        # Sparse: CSR adjacency + scatter over actual transmitters, same
-        # two quantities in O(edges-of-transmitters) (see
-        # SparseReception). Identical outputs either way.
-        num_dense = len(universal)
-        if reception == "auto":
-            reception = (
-                "dense"
-                if num_dense * n * n <= DENSE_RECEPTION_CEILING
-                else "sparse"
-            )
-        self._reception = reception
-        self._adj3: Optional[np.ndarray] = None
-        self._sparse: Optional[SparseReception] = None
-        if reception == "dense":
-            self._adj3 = np.zeros((num_dense, n, n), dtype=np.float32)
-            for k, c in enumerate(universal):
-                for i, u in enumerate(self._ids):
-                    for v in network.neighbors_on(u, c):
-                        self._adj3[k, i, self._index[v]] = 1.0
-            # Per-slot one-hot scratch: written and wiped per slot, only
-            # on the rows actually touched (re-zeroing all C·N·2 entries
-            # every slot dominated small-slot profiles).
-            self._e_buf = np.zeros((num_dense, n, 2), dtype=np.float32)
-        else:
-            self._sparse = SparseReception(network, self._index, universal)
-        self._num_dense = num_dense
-        self._node_idx = np.arange(n, dtype=np.float32)
+        self._kernel = SparseReception(network)
         self._row_idx = np.arange(n)
-        self._zero_bases = np.zeros(n, dtype=np.int64)
         if self._faults is not None:
-            self._faults.bind_dense(self._ids, dense_of_channel, num_dense)
+            self._faults.bind_dense(
+                self._ids, self._kernel.dense_of_channel, self._kernel.num_dense
+            )
 
         # Radio-activity counters (slots per mode), for energy accounting.
         self._tx_slots = np.zeros(n, dtype=np.int64)
@@ -496,10 +427,11 @@ class FastSlottedSimulator:
         if not transmit.any() or not listen.any():
             return 0
 
-        pick = self._rng.integers(0, self._sizes)
+        kernel = self._kernel
+        pick = self._rng.integers(0, kernel.sizes)
         if prof is not None:
             p0 = prof.lap("rng", p0)
-        chan = self._chan_flat[self._chan_starts[:-1] + pick]
+        chan = kernel.chan_flat[kernel.chan_base + pick]
         if faults is not None and faults.has_spectrum:
             # Suppress blocked transmitters (they sense the blocker and
             # defer) and blocked listeners (they hear only its signal);
@@ -513,52 +445,13 @@ class FastSlottedSimulator:
 
         if prof is not None:
             p0 = prof.lap("channel", p0)
-        n = len(self._ids)
-        tx_idx = np.flatnonzero(transmit)
-        if self._adj3 is not None:
-            # Dense kernel. Per-transmitter one-hot over channels, plus
-            # the identity-weighted copy: E[v, c, 0] = [v transmits on
-            # c], E[v, c, 1] = v's index if so. The scratch tensor is
-            # preallocated; only the rows touched this slot are wiped.
-            chan_tx = chan[tx_idx]
-            e = self._e_buf
-            e[chan_tx, tx_idx, 0] = 1.0
-            e[chan_tx, tx_idx, 1] = self._node_idx[tx_idx]
-            # Batched matmul (BLAS): r[c, u, 0] = audible transmitters
-            # on c as heard by u; r[c, u, 1] = sum of their indices.
-            r = np.matmul(self._adj3, e)
-            e[chan_tx, tx_idx, :] = 0.0
-            counts = r[chan, self._row_idx, 0]
-            weighted = r[chan, self._row_idx, 1]
-
-            self._collisions += listen & (counts >= 1.5)
-            clear_mask = listen & (np.abs(counts - 1.0) < 0.25)
-            self._clear += clear_mask
-            if not clear_mask.any():
-                return 0
-            receivers = np.flatnonzero(clear_mask)
-            senders = np.rint(weighted[receivers]).astype(np.int64)
-        else:
-            # Sparse kernel: scatter over this slot's transmitters only.
-            assert self._sparse is not None
-            listeners = np.flatnonzero(listen)
-            counts_l, senders_l = self._sparse.resolve(
-                chan[tx_idx] * n + tx_idx,
-                self._zero_bases[: tx_idx.size],
-                tx_idx,
-                chan[listeners] * n + listeners,
-                self._num_dense * n,
-            )
-            collided = counts_l >= 2
-            self._collisions[listeners[collided]] += 1
-            clear_l = counts_l == 1
-            self._clear[listeners[clear_l]] += 1
-            if not clear_l.any():
-                return 0
-            receivers = listeners[clear_l]
-            senders = senders_l[clear_l]
+        collided, receivers, senders = kernel.resolve(transmit, listen, chan)
+        self._collisions[collided] += 1
+        self._clear[receivers] += 1
         if prof is not None:
             p0 = prof.lap("reception", p0)
+        if not receivers.size:
+            return 0
         if self._erasure_prob > 0.0:
             keep = self._rng.random(receivers.size) >= self._erasure_prob
             receivers, senders = receivers[keep], senders[keep]

@@ -1,10 +1,10 @@
 """Slot-phase profiler for the vectorized engines.
 
 Per-slot work in :class:`~repro.sim.fast_slotted.FastSlottedSimulator`
-and :class:`~repro.sim.batched.BatchedSlottedSimulator` decomposes into
-a handful of phases — schedule evaluation, RNG draws, channel
-pick/gather, the sparse reception scatter, delivery/coverage updates,
-result building. :class:`SlotProfiler` accumulates wall-clock seconds
+and :class:`~repro.sim.batched.GridBatchedSimulator` (including its
+single-cell form, ``BatchedSlottedSimulator``) decomposes into a handful
+of phases — schedule evaluation, RNG draws, channel pick/gather, the
+reception kernel, delivery/coverage updates, result building. :class:`SlotProfiler` accumulates wall-clock seconds
 and lap counts per phase so ``benchmarks/bench_slot_profile.py`` (and
 anyone chasing a regression) can see *where* a slot's time goes instead
 of guessing from totals.

@@ -92,6 +92,9 @@ class SlottedSimulator:
             )
 
         offsets = dict(start_offsets or {})
+        for nid in offsets:
+            if nid not in network:
+                raise ConfigurationError(f"start offset given for unknown node {nid}")
         self._offsets: Dict[int, int] = {}
         for nid in network.node_ids:
             offset = int(offsets.get(nid, 0))

@@ -18,7 +18,6 @@ from repro.net import build_network, channels, topology
 from repro.sim.batch import ExperimentSpec, run_batch
 from repro.sim.batched import BatchedSlottedSimulator
 from repro.sim.fast_slotted import (
-    DENSE_RECEPTION_CEILING,
     FastSlottedSimulator,
     FlatSchedule,
     SparseReception,
@@ -296,54 +295,47 @@ class TestScalarBoundPin:
 
 
 class TestSparseReceptionKernel:
-    """The sparse kernel must agree with the dense matmul bit-for-bit."""
+    """The one reception kernel on a hand-checkable clique."""
 
-    @pytest.mark.parametrize("protocol", ["algorithm1", "algorithm2", "algorithm3"])
-    def test_sparse_matches_dense_single_trial(self, protocol):
-        net = heterogeneous_net()
-        schedule = _vector_schedule(protocol, net, 10)
-        stopping = StoppingCondition(max_slots=400, stop_on_full_coverage=True)
-        runs = {}
-        for kernel in ("dense", "sparse"):
-            factory = RngFactory(BASE_SEED)
-            sim = FastSlottedSimulator(
-                net, schedule, factory, erasure_prob=0.1, reception=kernel
-            )
-            runs[kernel] = sim.run(stopping)
-        assert runs["sparse"] == runs["dense"]
-
-    def test_unknown_kernel_rejected(self):
-        net = homogeneous_net(5)
-        schedule = _vector_schedule("algorithm2", net, None)
-        with pytest.raises(ConfigurationError, match="reception"):
-            FastSlottedSimulator(
-                net, schedule, RngFactory(0), reception="blocked"
-            )
-
-    def test_auto_threshold_is_dense_for_small_networks(self):
-        # 5 nodes x 2 channels is far below the ceiling: auto == dense.
-        assert 2 * 5 * 5 <= DENSE_RECEPTION_CEILING
+    @staticmethod
+    def slot(rows):
+        """Flat ``(transmit, listen, chan)`` arrays from per-row
+        ``{node: ("tx" | "rx", dense channel)}`` maps over 4 nodes."""
+        transmit = np.zeros(4 * len(rows), dtype=bool)
+        listen = np.zeros_like(transmit)
+        chan = np.zeros(transmit.size, dtype=np.int64)
+        for r, row in enumerate(rows):
+            for node, (mode, k) in row.items():
+                (transmit if mode == "tx" else listen)[4 * r + node] = True
+                chan[4 * r + node] = k
+        return transmit, listen, chan
 
     def test_resolve_counts_and_senders(self):
-        # 3 nodes on one shared channel, fully connected: nodes 0 and 2
-        # transmit, node 1 listens -> collision (count 2); with only
-        # node 0 transmitting the count is 1 and the sender resolves.
-        net = homogeneous_net(5)
-        universal = sorted(net.universal_channel_set)
-        index = {nid: i for i, nid in enumerate(net.node_ids)}
-        kernel = SparseReception(net, index, universal)
-        n = len(net.node_ids)
-        listeners = np.array([1], dtype=np.int64)
-        query = 0 * n + listeners  # channel 0, node 1
-        counts, senders = kernel.resolve(
-            np.array([0 * n + 0], dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            np.array([0], dtype=np.int64),
-            query,
-            len(universal) * n,
+        # 4-node clique on channels {0, 1}: everyone hears everyone.
+        kernel = SparseReception(
+            build_network(topology.clique(4), channels.homogeneous(4, 2))
         )
-        if counts[0] == 1:
-            assert senders[0] == 0
+        # Row 0: nodes 0 and 2 transmit on channel 0 -> node 1 there
+        # hears a collision (count 2); node 3 listens on channel 1 and
+        # hears nothing.
+        row0 = {0: ("tx", 0), 2: ("tx", 0), 1: ("rx", 0), 3: ("rx", 1)}
+        # Row 1: node 0 alone transmits on channel 0 -> nodes 1 and 3
+        # there hear it clearly; node 2 on channel 1 hears nothing.
+        row1 = {0: ("tx", 0), 1: ("rx", 0), 2: ("rx", 1), 3: ("rx", 0)}
+
+        collided, clear, senders = kernel.resolve(*self.slot([row0]))
+        assert collided.tolist() == [1]
+        assert clear.tolist() == [] and senders.tolist() == []
+
+        collided, clear, senders = kernel.resolve(*self.slot([row1]))
+        assert collided.tolist() == []
+        assert clear.tolist() == [1, 3] and senders.tolist() == [0, 0]
+
+        # Both rows in one call: row 0's transmitters stay out of row 1
+        # (flat indices 4..7), and each row resolves as it did alone.
+        collided, clear, senders = kernel.resolve(*self.slot([row0, row1]))
+        assert collided.tolist() == [1]
+        assert clear.tolist() == [5, 7] and senders.tolist() == [0, 0]
 
 
 class TestFlatScheduleReadOnly:

@@ -13,6 +13,8 @@ Two cross-checks guard against silent divergence:
   agree statistically with the object-per-node reference engine, the
   same Welch-CI check the fast engine passes (byte-level agreement with
   the *fast* engine is pinned separately in ``test_batched_engine.py``);
+* **validation** — every synchronous engine rejects a start offset for
+  an unknown node the same way;
 * **fallback vs serial** — protocols without a vectorized schedule
   (``mcdis``, the baselines) must route through the batched entry point
   to results byte-identical with the serial trial loop, and must refuse
@@ -200,6 +202,21 @@ class TestParallelSerialIdentity:
         assert serial.as_row() == pooled.as_row()
         assert serial.network_params == pooled.network_params
         assert serial.completion.mean == pooled.completion.mean
+
+
+class TestStartOffsetValidation:
+    """Every synchronous engine rejects a start offset for a node the
+    network does not have, naming the node."""
+
+    @pytest.mark.parametrize("engine", ["reference", "fast", "grid"])
+    def test_unknown_node_rejected(self, engine):
+        net = diff_net()
+        params = {"max_slots": 100, "delta_est": 4, "start_offsets": {99: 3}}
+        with pytest.raises(ConfigurationError, match="unknown node 99"):
+            if engine == "grid":
+                run_experiment_grid_batched(net, [("algorithm3", [1], params)])
+            else:
+                run_synchronous(net, "algorithm3", seed=1, engine=engine, **params)
 
 
 class TestNonVectorizedFallback:
