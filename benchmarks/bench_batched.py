@@ -13,8 +13,8 @@ scaling cliff: per-slot costs that grew with the B·C·N key space
 (fresh page faults in the reception scatter) and per-trial Python dict
 building in result assembly. Both are gone — reception is edge-centric
 (O(edges), never O(listeners) or O(key space)) and result assembly
-amortizes template dicts across the batch — so the speedup now *grows*
-with N instead of collapsing.
+iterates hoisted link columns at C level — so the speedup *grows* with
+N instead of collapsing.
 
 A batch-size sensitivity axis reruns the N=500 campaign at
 B ∈ {1, 4, 8, 16, 32} to show how the win scales with trials per
@@ -22,13 +22,14 @@ kernel pass (B=1 measures pure engine overhead against the serial
 loop; doubling B should approach 2× throughput until per-slot numpy
 work dominates).
 
-Both sides resolve reception with the same kernel,
-``SparseReception.resolve``: the serial engine with one row per call,
-the batched engine with all of its rows. Every row therefore measures
-batching gain alone. Until the serial engine's dense (C, N, N) kernel
-was deleted, the N=50 and N=200 rows also folded in the gap between
-the two kernels; the serial side was then slower at N=200, so that
-row's speedup fell when the dense kernel went.
+Both sides run the same slot loop: ``FastSlottedSimulator`` is the
+one-row form of the grid engine that ``BatchedSlottedSimulator`` runs
+with all of its rows, so every row measures batching gain alone (the
+serial side also pays one engine construction per trial). Until the
+serial engine's dense (C, N, N) kernel was deleted, the N=50 and N=200
+rows also folded in the gap between the two kernels; the serial side
+was then slower at N=200, so that row's speedup fell when the dense
+kernel went.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_batched.py``) or
 via pytest-benchmark.

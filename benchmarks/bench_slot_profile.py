@@ -1,9 +1,11 @@
 """Slot-phase profile — where a simulated slot's time goes.
 
-Runs the N=500 campaign from ``bench_batched.py`` once per engine with
-``profile=True`` and records each engine's per-phase breakdown
-(``schedule`` / ``rng`` / ``channel`` / ``reception`` / ``delivery`` /
-``result`` — seconds, lap count, share of total) in
+Runs the N=500 campaign from ``bench_batched.py`` twice with
+``profile=True`` — serially, one ``FastSlottedSimulator`` (the grid
+engine's one-row form) per trial, and as one 16-row
+``BatchedSlottedSimulator`` — and records each shape's per-phase
+breakdown (``schedule`` / ``rng`` / ``channel`` / ``reception`` /
+``delivery`` / ``result`` — seconds, lap count, share of total) in
 ``BENCH_slot_profile.json`` at the repo root. This is the regression
 map for the kernel: when a future change slows a campaign down, the
 two snapshots here say which phase moved, instead of leaving a single

@@ -3,7 +3,7 @@
 Two interfaces exist, matching the paper's two system models:
 
 * :class:`SynchronousProtocol` — per-*slot* behavior for the slotted
-  engines (:mod:`repro.sim.slotted`, :mod:`repro.sim.fast_slotted`).
+  engines (:mod:`repro.sim.slotted`, :mod:`repro.sim.batched`).
   Each slot the node declares a :class:`SlotDecision`: which channel it
   tunes to and whether it transmits, listens or stays quiet.
 
@@ -175,10 +175,14 @@ class SynchronousProtocol(DiscoveryProtocol):
         """Per-slot transmit probability, if the protocol fits the
         "uniform random channel + Bernoulli transmit" template.
 
-        The vectorized engine (:mod:`repro.sim.fast_slotted`) uses this
-        hook; protocols with a different structure (e.g. the
-        deterministic baseline) return ``None`` and are only runnable on
-        the reference engine.
+        Protocols that return a probability fit the vectorized engine
+        (:mod:`repro.sim.batched`), which runs the template from a
+        :class:`~repro.sim.batched.VectorSchedule`. Its rows are
+        independent and its output is invariant to how trials are
+        grouped (``G`` cells × ``B`` trials), pinned by the engine
+        goldens and the grid tests. Protocols with a different structure
+        (e.g. the deterministic baseline) return ``None`` and are only
+        runnable on the reference engine.
         """
         return None
 

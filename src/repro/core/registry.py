@@ -66,10 +66,10 @@ class ProtocolSpec:
             set (baselines only).
         needs_id_space: Factory requires the id-space size ``N_max``.
         vectorized: Fits the *uniform channel + Bernoulli transmit*
-            template, so the fast (numpy) engine can run it via a
-            :class:`~repro.sim.fast_slotted.VectorSchedule` — and the
-            trial- and grid-batched engine
-            (:class:`~repro.sim.batched.GridBatchedSimulator`) with it.
+            template, so the vectorized (numpy) engine
+            (:class:`~repro.sim.batched.GridBatchedSimulator`, one trial:
+            :class:`~repro.sim.fast_slotted.FastSlottedSimulator`) can
+            run it via a :class:`~repro.sim.batched.VectorSchedule`.
     """
 
     name: str

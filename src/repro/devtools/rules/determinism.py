@@ -286,7 +286,7 @@ class DensePerSlotAllocation(Rule):
         "buffer whose shape repeats a size variable (N×N, C×N×N, …) there "
         "makes every slot cost O(N²) in allocator traffic regardless of how "
         "few nodes act. Hoist the buffer to __init__ or resolve reception "
-        "sparsely (repro.sim.fast_slotted.SparseReception)."
+        "sparsely (repro.sim.batched.SparseReception)."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:

@@ -69,11 +69,6 @@ SHARED_STREAM_KEYS: Dict[str, str] = {
         "BernoulliLoss must draw from it at the legacy code points on "
         "every engine (PR 3 equivalence contract)"
     ),
-    "fast-engine": (
-        "serial/batched parity: BatchedSlottedSimulator must consume "
-        "the FastSlottedSimulator stream call-for-call so batched "
-        "output is byte-identical per trial (PR 4 contract)"
-    ),
     "environment": (
         "environment realization (clocks, start times): one runner "
         "entry point per run; run_asynchronous and run_terminating_sync "

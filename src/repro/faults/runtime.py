@@ -18,10 +18,13 @@ which is what makes a Bernoulli-only plan bit-identical to the engines'
 
 Engine integration surface (all cheap no-ops for absent families):
 
-* synchronous engines call :meth:`FaultRuntime.begin_slot` once per
-  slot, then :meth:`blocked` / :meth:`blocked_mask`,
-  :meth:`alive` / :meth:`alive_mask`, :meth:`join_offset` and the loss
-  hooks;
+* the reference slotted engine calls :meth:`FaultRuntime.begin_slot`
+  once per slot, then :meth:`blocked`, :meth:`alive`,
+  :meth:`join_offset` and :meth:`keep_delivery`;
+* the vectorized grid engine (:mod:`repro.sim.batched`) calls
+  :meth:`bind_dense` once per row, reads :meth:`join_offset` and
+  :meth:`crash_time` at construction, then per slot
+  :meth:`begin_slot`, :meth:`blocked_mask` and :meth:`keep_mask`;
 * the asynchronous engine uses :meth:`blocked_during` (interval
   queries), :meth:`join_time`, :meth:`crash_time`, :meth:`wrap_clock`
   and :meth:`keep_delivery`.
@@ -262,11 +265,10 @@ class FaultRuntime:
         self._events: List[Dict[str, Any]] = []
         self._events_dropped = 0
 
-        # Populated by bind_dense (fast engine only).
+        # Populated by bind_dense (vectorized engine only).
         self._bound_ids: Optional[List[int]] = None
         self._bound_rows: List[Optional[Tuple[int, np.ndarray]]] = []
         self._mask: Optional[np.ndarray] = None
-        self._crash_vec: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -366,7 +368,7 @@ class FaultRuntime:
         dense_of_channel: Mapping[int, int],
         num_dense: int,
     ) -> None:
-        """Prepare vectorized views for the fast engine's node/channel
+        """Prepare vectorized views for the grid engine's node/channel
         indexing (row = node index, column = dense channel index)."""
         ids = list(node_ids)
         index = {nid: i for i, nid in enumerate(ids)}
@@ -387,16 +389,13 @@ class FaultRuntime:
             self._bound_rows.append((k, rows))
         self._mask = np.zeros((len(ids), num_dense), dtype=bool)
         self._mask_dirty = True
-        self._crash_vec = np.array(
-            [self._crashes.get(nid, math.inf) for nid in ids], dtype=np.float64
-        )
 
     def blocked_mask(self) -> np.ndarray:
         """Boolean ``(num_nodes, num_dense)`` blocked matrix for the
         current slot (requires :meth:`bind_dense`)."""
         if self._mask is None:
             raise ConfigurationError(
-                "blocked_mask requires bind_dense (fast engine only)"
+                "blocked_mask requires bind_dense (vectorized engine only)"
             )
         if self._mask_dirty:
             self._mask[:] = False
@@ -447,14 +446,6 @@ class FaultRuntime:
         """Whether the node has not yet crashed at ``time``."""
         return time < self._crashes.get(node_id, math.inf)
 
-    def alive_mask(self, t: int) -> np.ndarray:
-        """Vectorized :meth:`alive` over the bound node order."""
-        if self._crash_vec is None:
-            raise ConfigurationError(
-                "alive_mask requires bind_dense (fast engine only)"
-            )
-        return self._crash_vec > t
-
     # ------------------------------------------------------------------
     # loss
     # ------------------------------------------------------------------
@@ -479,7 +470,7 @@ class FaultRuntime:
         time: float,
         engine_rng: np.random.Generator,
     ) -> np.ndarray:
-        """Vectorized loss hook for the fast engine (bound indices).
+        """Vectorized loss hook for the grid engine (bound indices).
 
         Bernoulli models draw one batch of uniforms per call — the
         legacy ``erasure_prob`` shape exactly; link-state models draw
@@ -487,7 +478,7 @@ class FaultRuntime:
         """
         if self._bound_ids is None:
             raise ConfigurationError(
-                "keep_mask requires bind_dense (fast engine only)"
+                "keep_mask requires bind_dense (vectorized engine only)"
             )
         count = int(receiver_indices.size)
         keep = np.ones(count, dtype=bool)
@@ -503,77 +494,6 @@ class FaultRuntime:
                             time,
                             engine_rng,
                         )
-        return keep
-
-    # ------------------------------------------------------------------
-    # batched entry points (trial-batched engine)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def batched_alive_mask(
-        runtimes: Sequence[Optional["FaultRuntime"]], t: int, num_nodes: int
-    ) -> np.ndarray:
-        """Stacked :meth:`alive_mask` rows, shape ``(B, num_nodes)``.
-
-        ``runtimes[b]`` is trial ``b``'s runtime (all bound via
-        :meth:`bind_dense`) or ``None`` for a fault-free row, whose
-        nodes are all alive; used by the trial- and grid-batched engine.
-        """
-        mask = np.ones((len(runtimes), num_nodes), dtype=bool)
-        for b, runtime in enumerate(runtimes):
-            if runtime is not None:
-                mask[b] = runtime.alive_mask(t)
-        return mask
-
-    @staticmethod
-    def batched_blocked_mask(
-        runtimes: Sequence[Optional["FaultRuntime"]],
-        num_nodes: int,
-        num_dense: int,
-    ) -> np.ndarray:
-        """Stacked :meth:`blocked_mask`, shape ``(B, num_nodes, num_dense)``.
-
-        ``None`` rows (fault-free trials in a grid batch) block nothing.
-        """
-        mask = np.zeros((len(runtimes), num_nodes, num_dense), dtype=bool)
-        for b, runtime in enumerate(runtimes):
-            if runtime is not None:
-                mask[b] = runtime.blocked_mask()
-        return mask
-
-    @staticmethod
-    def batched_keep_mask(
-        runtimes: Sequence[Optional["FaultRuntime"]],
-        trial_indices: np.ndarray,
-        sender_indices: np.ndarray,
-        receiver_indices: np.ndarray,
-        time: float,
-        engine_rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        """Per-trial :meth:`keep_mask` over a trial-major delivery batch.
-
-        ``trial_indices`` must be non-decreasing so each trial's slice is
-        contiguous and its loss draws come from ``engine_rngs[b]`` in the
-        exact order a serial run of that trial would issue them. Trials
-        with no deliveries get no slice and therefore draw nothing —
-        matching the serial engine's early return on an empty slot.
-        ``None`` rows keep every delivery and draw nothing, exactly like
-        a serial fault-free trial.
-        """
-        keep = np.ones(int(trial_indices.size), dtype=bool)
-        for b, runtime in enumerate(runtimes):
-            if runtime is None:
-                continue
-            lo = int(np.searchsorted(trial_indices, b, side="left"))
-            hi = int(np.searchsorted(trial_indices, b, side="right"))
-            if lo == hi:
-                continue
-            keep[lo:hi] = runtime.keep_mask(
-                sender_indices[lo:hi],
-                receiver_indices[lo:hi],
-                time,
-                engine_rngs[b],
-            )
         return keep
 
     # ------------------------------------------------------------------

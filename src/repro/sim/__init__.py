@@ -4,7 +4,16 @@ from __future__ import annotations
 
 from .async_engine import AsyncSimulator
 from .batch import BatchOutcome, ExperimentSpec, run_batch
-from .batched import BatchedSlottedSimulator, GridBatchedSimulator, GridCell
+from .batched import (
+    BatchedSlottedSimulator,
+    FlatSchedule,
+    GridBatchedSimulator,
+    GridCell,
+    GrowingEstimateSchedule,
+    SparseReception,
+    StagedSchedule,
+    VectorSchedule,
+)
 from .clock import (
     Clock,
     ConstantDriftClock,
@@ -16,14 +25,7 @@ from .clock import (
 )
 from .engine import DiscreteEventEngine
 from .events import Event, EventQueue
-from .fast_slotted import (
-    FastSlottedSimulator,
-    FlatSchedule,
-    GrowingEstimateSchedule,
-    SparseReception,
-    StagedSchedule,
-    VectorSchedule,
-)
+from .fast_slotted import FastSlottedSimulator
 from .medium import Medium, Transmission
 from .parallel import (
     ParallelPlan,

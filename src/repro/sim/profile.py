@@ -1,13 +1,19 @@
-"""Slot-phase profiler for the vectorized engines.
+"""Slot-phase profiler for the vectorized engine.
 
-Per-slot work in :class:`~repro.sim.fast_slotted.FastSlottedSimulator`
-and :class:`~repro.sim.batched.GridBatchedSimulator` (including its
-single-cell form, ``BatchedSlottedSimulator``) decomposes into a handful
-of phases — schedule evaluation, RNG draws, channel pick/gather, the
-reception kernel, delivery/coverage updates, result building. :class:`SlotProfiler` accumulates wall-clock seconds
-and lap counts per phase so ``benchmarks/bench_slot_profile.py`` (and
-anyone chasing a regression) can see *where* a slot's time goes instead
-of guessing from totals.
+Per-slot work in :class:`~repro.sim.batched.GridBatchedSimulator` (and
+its fixed shapes: ``BatchedSlottedSimulator``, one cell, and
+``FastSlottedSimulator``, one row) decomposes into a handful of phases —
+schedule evaluation, RNG draws, channel pick/gather, the reception
+kernel, delivery/coverage updates, result building.
+:class:`SlotProfiler` accumulates wall-clock seconds and lap counts per
+phase so ``benchmarks/bench_slot_profile.py`` (and anyone chasing a
+regression) can see *where* a slot's time goes instead of guessing from
+totals. Every slot that ends early laps the phase it ends in, so the
+phases add up to the whole run.
+
+The engine's rows are independent and its output is invariant to the
+grid's ``G`` and ``B``, pinned by the engine goldens and the grid tests;
+the profiler never changes that.
 
 Cost model: profiling is strictly opt-in. The engines hold ``None``
 instead of a profiler by default and guard every phase mark with an
@@ -30,9 +36,10 @@ from typing import Dict, List, Tuple
 
 __all__ = ["PHASES", "SlotProfiler"]
 
-#: Phase names the engines mark, in hot-loop order. Engines may skip
-#: phases on early-exit slots; the profiler accepts any label but the
-#: benchmark reports these in this order.
+#: Phase names the engine marks, in hot-loop order. A slot that ends
+#: early laps the phase it ends in and skips the later ones; the
+#: profiler accepts any label but the benchmark reports these in this
+#: order.
 PHASES: Tuple[str, ...] = (
     "schedule",
     "rng",

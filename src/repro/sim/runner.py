@@ -42,14 +42,16 @@ from .clock import (
     RandomWalkDriftClock,
     SinusoidalDriftClock,
 )
-from .fast_slotted import (
-    FastSlottedSimulator,
+from .batched import (
     FlatSchedule,
+    GridBatchedSimulator,
+    GridCell,
     GrowingEstimateSchedule,
     RepeatedStagedSchedule,
     StagedSchedule,
     VectorSchedule,
 )
+from .fast_slotted import FastSlottedSimulator
 from .results import DiscoveryResult
 from .rng import RngFactory, SeedLike, derive_trial_seed
 from .slotted import SlottedSimulator
@@ -485,8 +487,6 @@ def run_experiment_grid_batched(
 
     Returns one result list per entry, in entry order.
     """
-    from .batched import GridBatchedSimulator, GridCell
-
     results: List[Optional[List[DiscoveryResult]]] = [None] * len(entries)
     groups: Dict[Tuple[int, bool], List[int]] = {}
     for j, (protocol, seeds, runner_params) in enumerate(entries):

@@ -21,8 +21,8 @@ An optional per-delivery erasure probability models unreliable channels
 probability ``erasure_prob``, independently per (transmission, receiver).
 
 This implementation favors clarity over speed; the numpy engine in
-:mod:`repro.sim.fast_slotted` is the high-throughput twin and a test
-pins their statistical agreement.
+:mod:`repro.sim.batched` (one trial: :mod:`repro.sim.fast_slotted`) is
+the high-throughput twin and a test pins their statistical agreement.
 """
 
 from __future__ import annotations

@@ -312,30 +312,40 @@ class TestSparseReceptionKernel:
 
     def test_resolve_counts_and_senders(self):
         # 4-node clique on channels {0, 1}: everyone hears everyone.
-        kernel = SparseReception(
-            build_network(topology.clique(4), channels.homogeneous(4, 2))
-        )
+        net = build_network(topology.clique(4), channels.homogeneous(4, 2))
+        kernel = SparseReception(net)
+        link = {lk.key: e for e, lk in enumerate(net.links())}
+        assert kernel.num_links == len(link) == 12
+
+        def resolve(rows):
+            transmit, listen, chan = self.slot(rows)
+            return kernel.resolve(transmit.nonzero()[0], listen, chan)
+
         # Row 0: nodes 0 and 2 transmit on channel 0 -> node 1 there
         # hears a collision (count 2); node 3 listens on channel 1 and
         # hears nothing.
         row0 = {0: ("tx", 0), 2: ("tx", 0), 1: ("rx", 0), 3: ("rx", 1)}
         # Row 1: node 0 alone transmits on channel 0 -> nodes 1 and 3
-        # there hear it clearly; node 2 on channel 1 hears nothing.
+        # there hear it clearly, over links 0->1 and 0->3; node 2 on
+        # channel 1 hears nothing.
         row1 = {0: ("tx", 0), 1: ("rx", 0), 2: ("rx", 1), 3: ("rx", 0)}
 
-        collided, clear, senders = kernel.resolve(*self.slot([row0]))
+        collided, clear, keys = resolve([row0])
         assert collided.tolist() == [1]
-        assert clear.tolist() == [] and senders.tolist() == []
+        assert clear.tolist() == [] and keys.tolist() == []
 
-        collided, clear, senders = kernel.resolve(*self.slot([row1]))
+        collided, clear, keys = resolve([row1])
         assert collided.tolist() == []
-        assert clear.tolist() == [1, 3] and senders.tolist() == [0, 0]
+        assert clear.tolist() == [1, 3]
+        assert keys.tolist() == [link[(0, 1)], link[(0, 3)]]
 
         # Both rows in one call: row 0's transmitters stay out of row 1
-        # (flat indices 4..7), and each row resolves as it did alone.
-        collided, clear, senders = kernel.resolve(*self.slot([row0, row1]))
+        # (flat indices 4..7), each row resolves as it did alone, and a
+        # row-1 key is offset by one row of links.
+        collided, clear, keys = resolve([row0, row1])
         assert collided.tolist() == [1]
-        assert clear.tolist() == [5, 7] and senders.tolist() == [0, 0]
+        assert clear.tolist() == [5, 7]
+        assert keys.tolist() == [12 + link[(0, 1)], 12 + link[(0, 3)]]
 
 
 class TestFlatScheduleReadOnly:

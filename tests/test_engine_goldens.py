@@ -8,7 +8,14 @@ change to the one remaining kernel that moves a single output byte
 fails here. The corpus covers all five vectorized protocols, erasure,
 start offsets, each fault family (loss, jamming, churn) and a network
 above the old dense ceiling (N=300, C=12: 12·300² > 2²⁰ entries).
-The grid engine is pinned to this engine by ``test_grid_engine.py``.
+
+The fast engine also once ran its own serial slot loop; it is now the
+grid engine's one-row form. The ``homog12``, ``odd11`` and
+``short_budget`` digests were recorded from that serial loop, covering
+what the grid does differently for one row: one channel-pick bound
+shared by every node (|A(u)| = 3, and |A(u)| = 4 at an odd node count)
+and results that end with most links uncovered. Multi-row grids are
+pinned to this engine by ``test_grid_engine.py``.
 
 Regenerate only when an output change is intended:
 ``PYTHONPATH=src python tests/test_engine_goldens.py`` prints the table.
@@ -45,6 +52,16 @@ def network(name: str) -> M2HeWNetwork:
         topo = topology.random_geometric(20, 0.45, rng)
         assignment = channels.uniform_random_subsets(20, 10, 3, rng, set_size_max=6)
         return build_network(topo, channels.repair_pair_overlap(topo, assignment, rng))
+    if name == "homog12":
+        # |A(u)| = 3 everywhere: one bound for every node, not a power of two.
+        rng = np.random.default_rng(17)
+        topo = topology.random_geometric(12, 0.6, rng)
+        return build_network(topo, channels.uniform_random_subsets(12, 5, 3, rng))
+    if name == "odd11":
+        # |A(u)| = 4 everywhere but an odd node count.
+        rng = np.random.default_rng(23)
+        topo = topology.random_geometric(11, 0.6, rng)
+        return build_network(topo, channels.uniform_random_subsets(11, 6, 4, rng))
     if name == "geo300":
         rng = np.random.default_rng(3)
         topo = topology.random_geometric(300, 0.12, rng)
@@ -92,6 +109,27 @@ CASES: Dict[str, Case] = {
         "geo20", "algorithm1", 206, 3000, stop=False, faults="crash_node0"
     ),
     "geo20-algorithm2-budget": Case("geo20", "algorithm2", 207, 3000, stop=False),
+    # One channel-pick bound shared by every node: |A(u)| = 3, and
+    # |A(u)| = 4 at an odd node count.
+    "homog12-algorithm2": Case("homog12", "algorithm2", 401, 3000),
+    "homog12-algorithm3-erasure-offsets": Case(
+        "homog12", "algorithm3", 402, 3000, erasure_prob=0.1, start_offsets=_OFFSETS
+    ),
+    "homog12-algorithm3-bursty_loss": Case(
+        "homog12", "algorithm3", 403, 3000, faults="bursty_loss"
+    ),
+    "odd11-algorithm1": Case("odd11", "algorithm1", 404, 3000),
+    "odd11-robust_staged-jamming_light": Case(
+        "odd11", "robust_staged", 405, 3000, faults="jamming_light"
+    ),
+    "odd11-algorithm3-crash_node0": Case(
+        "odd11", "algorithm3", 406, 3000, stop=False, faults="crash_node0"
+    ),
+    # Budgets that end with most links still uncovered.
+    "geo20-algorithm3-short_budget": Case("geo20", "algorithm3", 407, 40, stop=False),
+    "geo300-algorithm1-short_budget": Case(
+        "geo300", "algorithm1", 408, 60, stop=False, delta_est=64
+    ),
     # Above the old dense-kernel ceiling.
     "geo300-algorithm3": Case("geo300", "algorithm3", 301, 400, stop=False, delta_est=64),
     "geo300-algorithm1-erasure": Case(
@@ -106,14 +144,22 @@ GOLDEN_DIGESTS: Dict[str, str] = {
     "geo20-algorithm3-flat_loss": "87b7ee1721b986fda1f749c09eb5f98c099af0defd5f27b555924b68243ecd66",
     "geo20-algorithm3-jamming_heavy": "072b20fa43167d0d77d5fc9ad23da9e60ab7abbd82545cea684a1e6d81fe4344",
     "geo20-algorithm3-late_join": "bd96105d30fba593f5a38b1b61c13cf66f1641fc31559cc51b8776e3bbd72d5f",
+    "geo20-algorithm3-short_budget": "dbed41a586dc73ec0c53538aad4ebf2de49ec47b3a0dcb78fe9857764620763c",
     "geo20-robust_staged-jamming_light": "8c3622b6bfbf8ef65b73e96630cc229f135e139b7c024e43880f64d4708f90e3",
     "geo300-algorithm1-erasure": "79afac8c7857b69e8ca21dc99c29d591023ab58207c54b0026e613c4a1c23088",
+    "geo300-algorithm1-short_budget": "b22c59eb2cc7ba4beb96ea3f7827790e27047d35489ad1616b25eef34d97203b",
     "geo300-algorithm3": "bdcf92953c3396e5f5f4e217eb3c0ccf934afa656369683c2aa23537b4bf8d24",
     "hetero10-algorithm1-erasure-offsets": "eefe5e414b8a59b8f3e3104f319bee50f6ea7f655c67d5b76ba0e5c29396e525",
     "hetero10-algorithm2-erasure-offsets": "97c33e38c10d86dca7437a9bfdf19f09b421bb3d45c45e1af60fba87e344f1e0",
     "hetero10-algorithm3-erasure-offsets": "94328f6d635e079bed0e1295bdbd69e7f33c8898236ed0d1a6ae933fd4d21acb",
     "hetero10-robust_flat-erasure-offsets": "3224147e4ba51b4e4465d466d513b3b89191e184c2f563e1ea68782e32362133",
     "hetero10-robust_staged-erasure-offsets": "fd8f3ffb7f2fdff00e4643329eac1bc07146b9edebc80d5a009217a038a082a3",
+    "homog12-algorithm2": "90cb08133b148c00d526d971bb7e68e1d35ca21c8e9c0fbb6965fc481b7153af",
+    "homog12-algorithm3-bursty_loss": "24e38e6fb5f671c472bdbb8023c75e7bb83a204df7385d56ba9d626711bff27e",
+    "homog12-algorithm3-erasure-offsets": "91ed0209056f5bed5ea7e91fb55a7cfc08b4550ff635a9c655e71bf868d507fc",
+    "odd11-algorithm1": "5efb4ab2c41cd60786c02d1d9d9ea1c8a94ee0638a3ae70d7fa24f790b0c47c8",
+    "odd11-algorithm3-crash_node0": "5019b3d1e4f7e53648fba5199568ee52e98ead70c6965350316b526756d605dc",
+    "odd11-robust_staged-jamming_light": "f81cb21256520cde4a113358c44d1f25cab722d1f9fdaf142b46d5758a9f61a7",
 }
 
 

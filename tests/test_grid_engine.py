@@ -212,7 +212,8 @@ class TestInternalBranches:
         assert sim.run(stopping) == serial_reference(net, c, stopping)
 
     def test_shared_offsets_none_branch(self):
-        # Different per-cell offsets: no globally shared offset row.
+        # Different per-cell offsets: each cell evaluates its schedule
+        # once, on its own shared offset row.
         net = homogeneous_net(8)
         cells = [
             cell(net, "algorithm2", 2, delta_est=None),
@@ -227,7 +228,9 @@ class TestInternalBranches:
         ]
         stopping = StoppingCondition(max_slots=300, stop_on_full_coverage=True)
         sim = GridBatchedSimulator(net, cells)
-        assert sim._shared_offsets is None
+        first, second = sim._cell_shared
+        assert first is not None and second is not None
+        assert first.tolist() != second.tolist()
         expected = [
             serial_reference(net, c, stopping, seed_base=base)
             for c, base in zip(cells, (0, 2))
@@ -242,7 +245,9 @@ class TestInternalBranches:
             cell(net, "algorithm2", 2, delta_est=None),
             cell(net, "algorithm2", 2, delta_est=None, seed_base=2),
         ]
-        assert GridBatchedSimulator(net, cells)._shared_offsets is not None
+        first, second = GridBatchedSimulator(net, cells)._cell_shared
+        assert first is not None and second is not None
+        assert first.tolist() == second.tolist()
 
 
 def pow2_net(n: int = 12):
@@ -319,6 +324,24 @@ class TestProfiler:
             assert snap[phase]["laps"] >= 1
             assert snap[phase]["seconds"] >= 0.0
         assert abs(sum(p["share"] for p in snap.values()) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_every_slot_laps_its_draws(self, batch):
+        # A slot with no transmitter or no listener ends right after its
+        # decision draws; it must still lap them. Without joins or churn
+        # every slot evaluates the schedule, so the two lap counts match.
+        net = homogeneous_net(6)
+        stopping = StoppingCondition(max_slots=200, stop_on_full_coverage=True)
+        if batch == 1:
+            schedule = _vector_schedule("algorithm2", net, None)
+            sim = FastSlottedSimulator(net, schedule, RngFactory(3), profile=True)
+        else:
+            c = cell(net, "algorithm2", batch, delta_est=None)
+            sim = GridBatchedSimulator(net, [c], profile=True)
+        sim.run(stopping)
+        snap = sim.profile()
+        assert snap["schedule"]["laps"] > snap["channel"]["laps"]
+        assert snap["rng"]["laps"] == snap["schedule"]["laps"]
 
     def test_serial_engine_profiler(self):
         net = homogeneous_net(6)
