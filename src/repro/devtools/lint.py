@@ -103,7 +103,7 @@ class ModuleContext:
     source: str
     tree: ast.Module
     #: Dotted module path relative to the ``repro`` package root, e.g.
-    #: ``"sim.engine"`` or ``""`` for ``repro/__init__.py``; ``None``
+    #: ``"sim.async_engine"`` or ``""`` for ``repro/__init__.py``; ``None``
     #: when the file lives outside the ``repro`` package (tests, docs).
     module: Optional[str] = None
 

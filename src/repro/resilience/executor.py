@@ -307,16 +307,6 @@ class _Supervision:
         """
         if self.policy is None:
             raise self.abort(state, exc, timed_out=timed_out)
-        if state.vectorized:
-            # The batched engine produced the failure (or was at least
-            # in the loop); the per-trial path is byte-identical, so
-            # retrying through it removes one suspect for free.
-            state.vectorized = False
-            self.event(
-                "downgrade_vectorized",
-                "retrying chunk through the per-trial loop",
-                state.cells,
-            )
         if state.attempt >= self.policy.max_retries:
             if timed_out:
                 # An in-process re-run of a hanging trial cannot be

@@ -18,10 +18,10 @@ when a chunk fails is the policy's business:
 * **quarantine** trials that keep failing: the campaign completes, and
   the quarantined indices plus their replay seeds are reported to the
   caller (``run_batch`` records them in the manifest);
-* **degrade gracefully**: a chunk that fails under the vectorized
-  engine retries through the per-trial loop (byte-identical output),
-  and repeated hard worker crashes downgrade the pool to in-process
-  execution — every downgrade is logged and surfaced as an event;
+* **degrade gracefully**: repeated hard worker crashes downgrade the
+  pool to in-process execution, which is logged and surfaced as an
+  event. A failed grid chunk retries as the same grid chunk; once its
+  retries are exhausted its trials re-run one by one, like any chunk's;
 * **journal** completed trials per entry to a checkpoint
   (:mod:`repro.resilience.checkpoint`) so a killed campaign resumes
   where it stopped, with archives byte-identical to an uninterrupted
@@ -87,7 +87,7 @@ _logger = logging.getLogger("repro.resilience")
 #: would make a recovered campaign's bytes differ from a clean one's.
 #: Distributed events (lease reclaims, worker deaths, local degradation)
 #: are likewise operational: a kill schedule must not change archives.
-ARCHIVED_EVENT_KINDS = frozenset({"downgrade_pool", "downgrade_vectorized"})
+ARCHIVED_EVENT_KINDS = frozenset({"downgrade_pool"})
 __all__.append("ARCHIVED_EVENT_KINDS")
 
 

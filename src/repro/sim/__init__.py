@@ -1,4 +1,4 @@
-"""Simulation substrate: engines, clocks, medium, results, runners."""
+"""Simulation substrate: engines, clocks, results, runners."""
 
 from __future__ import annotations
 
@@ -23,10 +23,7 @@ from .clock import (
     SinusoidalDriftClock,
     check_drift_bound,
 )
-from .engine import DiscreteEventEngine
-from .events import Event, EventQueue
 from .fast_slotted import FastSlottedSimulator
-from .medium import Medium, Transmission
 from .parallel import (
     ParallelPlan,
     resolve_plan,
@@ -68,9 +65,6 @@ __all__ = [
     "Clock",
     "ConstantDriftClock",
     "DiscoveryResult",
-    "DiscreteEventEngine",
-    "Event",
-    "EventQueue",
     "ExecutionTrace",
     "FastSlottedSimulator",
     "FlatSchedule",
@@ -78,7 +72,6 @@ __all__ = [
     "GridBatchedSimulator",
     "GridCell",
     "GrowingEstimateSchedule",
-    "Medium",
     "ParallelPlan",
     "PerfectClock",
     "PiecewiseDriftClock",
@@ -91,7 +84,6 @@ __all__ = [
     "SparseReception",
     "StagedSchedule",
     "StoppingCondition",
-    "Transmission",
     "VectorSchedule",
     "check_drift_bound",
     "derive_trial_seed",

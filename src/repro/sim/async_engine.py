@@ -19,7 +19,17 @@ channel ``c`` iff
   on ``c``.
 
 This is the conservative packet-level rule under which the paper's
-aligned-frame-pair analysis guarantees delivery.
+aligned-frame-pair analysis guarantees delivery. Interference comes only
+from nodes ``u`` can hear (paper §II: there is no physical-SINR model),
+and slots that merely touch at a boundary do not overlap.
+
+The engine is one heap of ``(time, seq, action, arg)`` events: node
+starts, frame ends and slot ends. ``seq`` counts scheduling calls, so
+simultaneous events run in the order they were scheduled. A
+transmitting frame puts its slots on its channel's on-air list when it
+begins, so a slot's end event finds every slot that overlapped it
+there: any slot that started earlier belongs to a frame that began
+earlier.
 
 The engine records an :class:`~repro.sim.trace.ExecutionTrace` of frame
 geometry when asked, which :mod:`repro.analysis.alignment` uses to
@@ -28,8 +38,23 @@ verify Lemmas 4 and 7 on actual executions.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -39,8 +64,6 @@ from ..core.messages import HelloMessage
 from ..exceptions import ConfigurationError, SimulationError
 from ..net.network import M2HeWNetwork
 from .clock import Clock, PerfectClock
-from .engine import DiscreteEventEngine
-from .medium import Medium, Transmission
 from .results import DiscoveryResult
 from .rng import RngFactory
 from .stopping import StoppingCondition
@@ -54,6 +77,15 @@ __all__ = ["AsyncFactory", "AsyncSimulator"]
 AsyncFactory = Callable[[int, frozenset, np.random.Generator], AsynchronousProtocol]
 
 
+class _Slot(NamedTuple):
+    """One slot-length transmission by ``sender`` on ``channel``."""
+
+    sender: int
+    channel: int
+    start: float
+    end: float
+
+
 @dataclass
 class _NodeState:
     protocol: AsynchronousProtocol
@@ -61,6 +93,7 @@ class _NodeState:
     start_real: float
     local_start: float
     frame_index: int = 0
+    frame_start: float = 0.0
     full_frames_since_ts: int = 0
     listening_channel: Optional[int] = None
     listen_start: float = 0.0
@@ -111,6 +144,10 @@ class AsyncSimulator:
             )
         self._network = network
         self._L = float(frame_length)
+        # Local offsets of a frame's slot boundaries from its start.
+        self._slot_offsets = [
+            j * self._L / SLOTS_PER_FRAME for j in range(SLOTS_PER_FRAME + 1)
+        ]
         self._erasure_prob = erasure_prob
         self._erasure_rng = rng_factory.stream("erasure")
         self._trace = trace
@@ -163,9 +200,16 @@ class AsyncSimulator:
             }
             for nid in network.node_ids
         }
-        self._medium = Medium()
         self._listeners_on: Dict[int, Set[int]] = {}
-        self._engine = DiscreteEventEngine()
+        # Slots registered per channel, in registration order; an entry
+        # is dropped once no pending slot can overlap it.
+        self._on_air: Dict[int, Deque[_Slot]] = {}
+        self._longest_slot = 0.0
+
+        self._heap: List[Tuple[float, int, Callable[[Any], None], Any]] = []
+        self._seq = itertools.count()
+        self._now = 0.0
+        self._stop_requested = False
 
         self._coverage: Dict[Tuple[int, int], Optional[float]] = {
             link.key: None for link in network.links()
@@ -191,13 +235,9 @@ class AsyncSimulator:
             self._nodes_short_of_frames = 0
 
         for nid, state in self._states.items():
-            self._engine.schedule(
-                state.start_real,
-                lambda nid=nid: self._begin_frame(nid),
-                label=f"start-{nid}",
-            )
+            self._schedule(state.start_real, self._begin_frame, nid)
 
-        horizon = self._engine.run(until=stopping.max_real_time)
+        horizon = self._run_events(stopping.max_real_time)
 
         completed = all(t is not None for t in self._coverage.values())
         metadata: Dict[str, object] = {
@@ -235,21 +275,57 @@ class AsyncSimulator:
         )
 
     # ------------------------------------------------------------------
-    # frame lifecycle
+    # event loop
     # ------------------------------------------------------------------
 
-    def _frame_bounds(self, state: _NodeState, k: int) -> List[float]:
-        """Real times of the slot boundaries of frame ``k`` (length 4)."""
-        base = state.local_start + k * self._L
-        return [
-            state.clock.real_from_local(base + j * self._L / SLOTS_PER_FRAME)
-            for j in range(SLOTS_PER_FRAME + 1)
-        ]
+    def _schedule(
+        self, time: float, action: Callable[[Any], None], arg: Any
+    ) -> None:
+        """Queue ``action(arg)`` at ``time``.
+
+        Raises:
+            SimulationError: If ``time`` precedes the current time by
+                more than 1e-12 — scheduling into the past means the
+                model is broken. Smaller gaps are clamped to now.
+        """
+        if time < self._now - 1e-12:
+            raise SimulationError(
+                f"cannot schedule an event at {time} before now {self._now}"
+            )
+        heapq.heappush(
+            self._heap, (max(time, self._now), next(self._seq), action, arg)
+        )
+
+    def _run_events(self, until: Optional[float]) -> float:
+        """Run events in ``(time, seq)`` order until the heap empties, a
+        stop is requested, or the next event lies after ``until``;
+        return the time the run stopped at."""
+        heap = self._heap
+        pop = heapq.heappop
+        while heap and not self._stop_requested:
+            if until is not None and heap[0][0] > until:
+                return until
+            time, _, action, arg = pop(heap)
+            self._now = time
+            action(arg)
+        return self._now
+
+    # ------------------------------------------------------------------
+    # frame lifecycle
+    # ------------------------------------------------------------------
 
     def _begin_frame(self, nid: int) -> None:
         state = self._states[nid]
         k = state.frame_index
-        bounds = self._frame_bounds(state, k)
+        base = state.local_start + k * self._L
+        to_real = state.clock.real_from_local
+        bounds = [to_real(base + off) for off in self._slot_offsets]
+        if k == 0:
+            # The first frame begins when the node starts. Inverting the
+            # clock at its start can land before it: bisected inverses
+            # stop at a relative tolerance, exact ones lose an ulp.
+            bounds[0] = state.start_real
+        state.frame_start = bounds[0]
         if (
             self._faults is not None
             and self._faults.crash_time(nid) <= bounds[0] + 1e-12
@@ -261,45 +337,23 @@ class AsyncSimulator:
         frame_duration = bounds[-1] - bounds[0]
         if decision.mode is Mode.TRANSMIT:
             state.tx_seconds += frame_duration
+            channel = decision.channel
+            assert channel is not None
+            if channel not in state.protocol.channels:
+                raise SimulationError(
+                    f"node {nid} transmitted on unavailable channel {channel}"
+                )
+            self._register_slots(nid, channel, bounds)
         elif decision.mode is Mode.LISTEN:
             state.rx_seconds += frame_duration
-        else:
-            state.quiet_seconds += frame_duration
-
-        if decision.mode is Mode.TRANSMIT:
-            assert decision.channel is not None
-            if decision.channel not in state.protocol.channels:
-                raise SimulationError(
-                    f"node {nid} transmitted on unavailable channel "
-                    f"{decision.channel}"
-                )
-            for j in range(SLOTS_PER_FRAME):
-                if self._faults is not None and self._faults.blocked_during(
-                    nid, decision.channel, bounds[j], bounds[j + 1]
-                ):
-                    # The transmitter senses the blocker (PU / jammer)
-                    # during this slot and defers; the slot is wasted.
-                    continue
-                tx = Transmission(
-                    sender=nid,
-                    channel=decision.channel,
-                    start=bounds[j],
-                    end=bounds[j + 1],
-                    message=self._hellos[nid],
-                )
-                self._engine.schedule(
-                    tx.start, lambda tx=tx: self._medium.begin(tx), label="tx-begin"
-                )
-                self._engine.schedule(
-                    tx.end, lambda tx=tx: self._end_transmission(tx), label="tx-end"
-                )
-        elif decision.mode is Mode.LISTEN:
             assert decision.channel is not None
             state.listening_channel = decision.channel
             state.listen_start = bounds[0]
             state.listen_end = bounds[-1]
             self._listeners_on.setdefault(decision.channel, set()).add(nid)
-        # QUIET frames: transceiver off, nothing to register.
+        else:
+            # QUIET frames: transceiver off, nothing to register.
+            state.quiet_seconds += frame_duration
 
         if self._trace is not None:
             self._trace.add_frame(
@@ -314,9 +368,33 @@ class AsyncSimulator:
                 )
             )
 
-        self._engine.schedule(
-            bounds[-1], lambda nid=nid: self._end_frame(nid), label=f"frame-end-{nid}"
-        )
+        self._schedule(bounds[-1], self._end_frame, nid)
+
+    def _register_slots(self, nid: int, channel: int, bounds: List[float]) -> None:
+        """Put a transmitting frame's slots on the air and schedule
+        their ends."""
+        on_air = self._on_air.setdefault(channel, deque())
+        # A pending slot ends at or after now and lasts at most the
+        # longest slot so far, and a slot registered from now on starts
+        # at about now: none can overlap an entry that ended by the cutoff.
+        cutoff = self._now - self._longest_slot
+        while on_air and on_air[0].end <= cutoff:
+            on_air.popleft()
+        for start, end in zip(bounds, bounds[1:]):
+            if self._faults is not None and self._faults.blocked_during(
+                nid, channel, start, end
+            ):
+                # The transmitter senses the blocker (PU / jammer)
+                # during this slot and defers; the slot is wasted.
+                continue
+            if end <= start:
+                raise SimulationError(
+                    f"transmission by {nid} has non-positive duration [{start}, {end}]"
+                )
+            slot = _Slot(nid, channel, start, end)
+            on_air.append(slot)
+            self._longest_slot = max(self._longest_slot, end - start)
+            self._schedule(end, self._end_slot, slot)
 
     def _halt_crashed_node(self, state: _NodeState) -> None:
         """Crash-stop: the node schedules no further frames. If it had
@@ -327,7 +405,7 @@ class AsyncSimulator:
         if budget is not None and state.full_frames_since_ts < budget:
             self._nodes_short_of_frames -= 1
             if self._nodes_short_of_frames == 0:
-                self._engine.request_stop()
+                self._stop_requested = True
 
     def _end_frame(self, nid: int) -> None:
         state = self._states[nid]
@@ -337,8 +415,7 @@ class AsyncSimulator:
                 listeners.discard(nid)
             state.listening_channel = None
 
-        frame_start = self._frame_bounds(state, state.frame_index)[0]
-        if frame_start >= self._t_s - 1e-12:
+        if state.frame_start >= self._t_s - 1e-12:
             state.full_frames_since_ts += 1
             assert self._stopping is not None
             budget = self._stopping.max_frames_per_node
@@ -348,7 +425,7 @@ class AsyncSimulator:
             ):
                 self._nodes_short_of_frames -= 1
                 if self._nodes_short_of_frames == 0:
-                    self._engine.request_stop()
+                    self._stop_requested = True
                     return
 
         state.frame_index += 1
@@ -358,31 +435,41 @@ class AsyncSimulator:
     # reception
     # ------------------------------------------------------------------
 
-    def _end_transmission(self, tx: Transmission) -> None:
-        self._medium.end(tx)
-        listeners = self._listeners_on.get(tx.channel)
+    def _end_slot(self, slot: _Slot) -> None:
+        channel = slot.channel
+        listeners = self._listeners_on.get(channel)
         if not listeners:
             return
-        for u in list(listeners):
+        rivals: Optional[Set[int]] = None
+        for u in listeners:
             state = self._states[u]
-            audible = self._hears_on[u].get(tx.channel, frozenset())
-            if tx.sender not in audible:
+            audible = self._hears_on[u].get(channel, frozenset())
+            if slot.sender not in audible:
                 continue
-            if tx.channel not in state.protocol.channels:
+            if channel not in state.protocol.channels:
                 # Listener registration guarantees this, but keep the
                 # model check: u only tunes to channels in A(u).
                 raise SimulationError(
-                    f"node {u} listening on unavailable channel {tx.channel}"
+                    f"node {u} listening on unavailable channel {channel}"
                 )
             if not (
-                state.listen_start <= tx.start + 1e-12
-                and tx.end <= state.listen_end + 1e-12
+                state.listen_start <= slot.start + 1e-12
+                and slot.end <= state.listen_end + 1e-12
             ):
                 continue  # slot not wholly inside u's listening frame
-            if tx.interferers(audible):
+            if rivals is None:
+                # Other senders whose slots strictly overlap this one.
+                rivals = {
+                    other.sender
+                    for other in self._on_air[channel]
+                    if other.sender != slot.sender
+                    and other.start < slot.end
+                    and slot.start < other.end
+                }
+            if rivals and not rivals.isdisjoint(audible):
                 continue  # collision at u
             if self._faults is not None and self._faults.blocked_during(
-                u, tx.channel, tx.start, tx.end
+                u, channel, slot.start, slot.end
             ):
                 continue  # u hears only the blocker's signal
             if (
@@ -394,17 +481,17 @@ class AsyncSimulator:
                 self._faults is not None
                 and self._faults.has_loss
                 and not self._faults.keep_delivery(
-                    tx.sender, u, tx.end, self._erasure_rng
+                    slot.sender, u, slot.end, self._erasure_rng
                 )
             ):
                 continue
             state.protocol.on_receive(
-                tx.message, float(state.frame_index), tx.channel
+                self._hellos[slot.sender], float(state.frame_index), channel
             )
-            key = (tx.sender, u)
+            key = (slot.sender, u)
             if self._coverage.get(key, 0.0) is None:
-                self._coverage[key] = tx.end
+                self._coverage[key] = slot.end
                 self._uncovered -= 1
                 assert self._stopping is not None
                 if self._stopping.stop_on_full_coverage and self._uncovered == 0:
-                    self._engine.request_stop()
+                    self._stop_requested = True

@@ -8,13 +8,18 @@ import numpy as np
 import pytest
 
 from repro.core.base import AsynchronousProtocol, FrameDecision, Mode
-from repro.exceptions import ConfigurationError
+from repro.core.registry import make_async_factory
+from repro.exceptions import ConfigurationError, SimulationError
+from repro.faults import ClockGlitch, FaultPlan, NodeChurn
+from repro.faults.activity import RenewalActivity
 from repro.net import M2HeWNetwork, NodeSpec
 from repro.sim.async_engine import AsyncSimulator
-from repro.sim.clock import ConstantDriftClock, PerfectClock
+from repro.sim.clock import Clock, ConstantDriftClock, PerfectClock
 from repro.sim.rng import RngFactory
+from repro.sim.runner import make_clocks, run_asynchronous
 from repro.sim.stopping import StoppingCondition
 from repro.sim.trace import ExecutionTrace
+from repro.workloads import scenario
 
 
 class ScriptedAsyncProtocol(AsynchronousProtocol):
@@ -78,6 +83,22 @@ def run_scripted(
     )
 
 
+class SteppingClock(Clock):
+    """Identity clock whose inverse jumps back by ``step`` from local
+    time ``at`` on: a broken clock, to probe the engine's checks."""
+
+    def __init__(self, at, step):
+        super().__init__(0.0)
+        self._at = at
+        self._step = step
+
+    def local_from_real(self, real):
+        return real
+
+    def real_from_local(self, local):
+        return local - self._step if local >= self._at else local
+
+
 T = FrameDecision(Mode.TRANSMIT, 0)
 L = FrameDecision(Mode.LISTEN, 0)
 Q = FrameDecision(Mode.QUIET, None)
@@ -139,6 +160,33 @@ class TestAlignedReception:
             starts={0: 0.0, 1: 0.0, 2: 0.5},
         )
         assert result.coverage[(1, 0)] is None
+
+    def test_slots_touching_at_a_boundary_do_not_collide(self):
+        # Node 0 listens [2, 5). Node 1's last slot [2, 3) ends exactly
+        # when node 2's first slot [3, 4) starts; both are clear, so
+        # each link is stamped at its touching slot's end.
+        result = run_scripted(
+            triple_network(),
+            {0: [L], 1: [T], 2: [T]},
+            starts={0: 2.0, 1: 0.0, 2: 3.0},
+        )
+        assert result.coverage[(1, 0)] == 3.0
+        assert result.coverage[(2, 0)] == 4.0
+
+    def test_other_channel_harmless(self):
+        net = M2HeWNetwork(
+            [
+                NodeSpec(0, frozenset({0, 1})),
+                NodeSpec(1, frozenset({0})),
+                NodeSpec(2, frozenset({0, 1})),
+            ],
+            adjacency=[(0, 1), (0, 2)],
+        )
+        result = run_scripted(
+            net, {0: [L], 1: [T], 2: [FrameDecision(Mode.TRANSMIT, 1)]}
+        )
+        assert result.coverage[(1, 0)] == 1.0
+        assert result.coverage[(2, 0)] is None
 
     def test_transmitting_listener_misses(self):
         result = run_scripted(pair_network(), {0: [T], 1: [T]})
@@ -214,6 +262,22 @@ class TestRunControl:
         )
         assert result.horizon <= 10.0
 
+    def test_run_ends_when_no_event_remains(self):
+        # Both nodes crash-stop at their frame starting at 6.0; nothing
+        # is left to run, so the horizon is that last event's time.
+        ScriptedAsyncProtocol.scripts = {}
+        sim = AsyncSimulator(
+            pair_network(),
+            lambda nid, chs, rng: ScriptedAsyncProtocol(nid, chs, rng),
+            RngFactory(0),
+            frame_length=3.0,
+            faults=FaultPlan(models=(NodeChurn(crashes=((0, 4.0), (1, 4.0))),)),
+        )
+        result = sim.run(
+            StoppingCondition(max_real_time=100.0, stop_on_full_coverage=False)
+        )
+        assert result.horizon == 6.0
+
     def test_needs_async_budget(self):
         sim = AsyncSimulator(
             pair_network(),
@@ -251,3 +315,86 @@ class TestTraceRecording:
         assert frames[0].mode is Mode.TRANSMIT
         assert frames[0].num_slots == 3
         assert frames[0].slot_bounds == (0.0, 1.0, 2.0, 3.0)
+
+
+class TestBrokenClocks:
+    def test_inverse_stepping_into_the_past_raises(self):
+        # Frame 1 of node 0 would end at real time 2, before its start 3.
+        with pytest.raises(SimulationError, match="before now"):
+            run_scripted(pair_network(), {}, clocks={0: SteppingClock(5.5, 4.0)})
+
+    def test_tiny_step_into_the_past_is_clamped(self):
+        # Frame 1 ends 5e-13 before it starts: within the 1e-12
+        # tolerance, the end is clamped to now and the run goes on.
+        result = run_scripted(
+            pair_network(), {}, clocks={0: SteppingClock(5.5, 3.0 + 5e-13)}
+        )
+        assert min(result.metadata["full_frames_since_ts"].values()) == 4
+        assert result.horizon == 12.0
+
+    def test_zero_length_slot_raises(self):
+        # Frame 1's slot boundaries 4 and 5 both map to real time 4.
+        with pytest.raises(SimulationError, match="non-positive duration"):
+            run_scripted(
+                pair_network(), {0: [L, T]}, clocks={0: SteppingClock(4.5, 1.0)}
+            )
+
+
+class TestFirstFrameStartsAtNodeStart:
+    """A node's first frame begins at its start time, not at the clock's
+    inverse of its local start: bisected inverses stop at a relative
+    tolerance (~1e-9 s at offsets near 1,000) and exact ones can lose an
+    ulp, so the inverse could land before the start and the run died
+    scheduling into the past."""
+
+    @pytest.mark.parametrize(
+        "name, clock_model, spread, faults",
+        [
+            ("campus_cr", "sinusoidal", 3.0, None),
+            ("rural_sparse", "constant", 5.0, "glitch"),
+            ("rural_sparse", "perfect", 5.0, "glitch"),
+        ],
+    )
+    def test_seed_sweep_runs(self, name, clock_model, spread, faults):
+        s = scenario(name)
+        net = s.build(0)
+        plan = None
+        if faults == "glitch":
+            plan = FaultPlan(
+                models=(ClockGlitch(spike=0.05, activity=RenewalActivity(5.0, 15.0)),)
+            )
+        for seed in range(10):
+            result = run_asynchronous(
+                net,
+                seed=seed,
+                delta_est=s.delta_est,
+                max_frames_per_node=5,
+                drift_bound=0.12 if clock_model == "sinusoidal" else 0.1,
+                clock_model=clock_model,
+                start_spread=spread,
+                stop_on_full_coverage=False,
+                faults=plan,
+            )
+            assert min(result.metadata["full_frames_since_ts"].values()) == 5
+
+    def test_late_start_whose_round_trip_undershoots(self):
+        s = scenario("rural_sparse")
+        net = s.build(0)
+        start = 50_000.0
+        clocks = make_clocks(net, "constant", 0.1, np.random.default_rng(1))
+        assert any(
+            c.real_from_local(c.local_from_real(start)) < start - 1e-12
+            for c in clocks.values()
+        )
+        trace = ExecutionTrace()
+        AsyncSimulator(
+            net,
+            make_async_factory("algorithm4", delta_est=s.delta_est),
+            RngFactory(1),
+            clocks=clocks,
+            start_times={nid: start for nid in net.node_ids},
+            trace=trace,
+        ).run(StoppingCondition(max_frames_per_node=5, stop_on_full_coverage=False))
+        for nid in net.node_ids:
+            first = trace.frames_of(nid)[0]
+            assert first.start == first.slot_bounds[0] == start

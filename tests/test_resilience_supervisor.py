@@ -106,7 +106,9 @@ class TestSupervisedIdentity:
             **NO_SLEEP,
         )
         assert outcome.complete
-        assert any(e.kind == "downgrade_vectorized" for e in outcome.events)
+        kinds = {e.kind for e in outcome.events}
+        assert "retry" in kinds
+        assert not any(kind.startswith("downgrade") for kind in kinds)
         assert _supervised_dicts(outcome) == [r.to_dict() for r in reference]
 
 
@@ -408,6 +410,21 @@ class TestOneDispatchPath:
             max_workers=2,
             backend=backend,
             retry=retry,
+        )
+        assert _archive_bytes(tmp_path / "out") == clean_archive
+
+    def test_vectorized_chaos_recovery_archives_clean_bytes(
+        self, tmp_path, clean_archive
+    ):
+        # A failed grid chunk retries as the same grid chunk: recovery
+        # leaves no trace, not even a manifest resilience section.
+        run_batch(
+            _two_network_specs(),
+            base_seed=11,
+            output_dir=tmp_path / "out",
+            backend="vectorized",
+            retry=FAST_RETRY,
+            chaos=parse_chaos_spec("raise@0"),
         )
         assert _archive_bytes(tmp_path / "out") == clean_archive
 
