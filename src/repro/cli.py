@@ -260,15 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size",
         type=int,
         default=None,
-        help="trials per worker dispatch (default: auto)",
-    )
-    batch.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
         help=(
-            "trials per vectorized batch (backend=vectorized only; "
-            "default: one batch per dispatch unit)"
+            "trial indices per dispatch chunk, each run as one grid pass "
+            "(default: 1 serially, auto with --workers)"
         ),
     )
     batch.add_argument(
@@ -966,7 +960,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             max_workers=args.workers,
             backend=args.backend,
             chunk_size=args.chunk_size,
-            batch_size=args.batch_size,
             trial_timeout=args.trial_timeout,
             retry=retry,
             checkpoint_dir=checkpoint_dir,

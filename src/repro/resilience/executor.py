@@ -151,15 +151,14 @@ _Cell = Tuple[int, Tuple[int, ...]]
 class _ChunkState:
     """One dispatch unit: ``indices`` are its trials, ``cells`` say whose.
 
-    A per-spec chunk has one cell; a grid chunk has one per fused entry
-    (an entry skips the chunk's trials it does not have, or already
-    restored from its journal).
+    One cell per entry that runs some of the chunk's trials (an entry
+    skips the trials it does not have, or already restored from its
+    journal).
     """
 
     indices: Tuple[int, ...]
     cells: Tuple[_Cell, ...]
     attempt: int = 0
-    vectorized: bool = False
     done: bool = False
 
     @property
@@ -210,7 +209,6 @@ class _Supervision:
             ),
             trial_indices=state.indices,
             seeds=tuple(self.seeds[t] for t in state.indices),
-            vectorized=state.vectorized,
             chaos=self.chaos,
             attempt=state.attempt,
         )
@@ -277,6 +275,16 @@ class _Supervision:
 
     # -- failure handling -----------------------------------------------
 
+    def experiment_of(self, state: _ChunkState) -> Optional[str]:
+        """The experiments a chunk ran, ``" + "``-joined, for its errors.
+
+        Falls back to the group label when an entry has no name.
+        """
+        names = [self.entries[j].experiment for j, _ in state.cells]
+        if any(name is None for name in names):
+            return self.label
+        return " + ".join(str(name) for name in names)
+
     def abort(
         self, state: _ChunkState, exc: BaseException, *, timed_out: bool
     ) -> BaseException:
@@ -288,7 +296,7 @@ class _Supervision:
         return _wrap_failure(
             exc,
             kind="timed out" if timed_out else "failed",
-            experiment=self.label,
+            experiment=self.experiment_of(state),
             indices=state.indices,
             base_seed=self.base_seed,
             timed_out=timed_out,
@@ -322,7 +330,7 @@ class _Supervision:
                 exc,
                 kind="exhausted the campaign retry budget "
                 f"({self.policy.max_total_retries} retries)",
-                experiment=self.label,
+                experiment=self.experiment_of(state),
                 indices=state.indices,
                 base_seed=self.base_seed,
             )

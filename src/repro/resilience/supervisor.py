@@ -3,9 +3,9 @@
 Every campaign — ``m2hew batch``, ``m2hew serve``, the lease queue, the
 fail-fast :func:`repro.sim.parallel.run_spec_trials` — runs through
 :func:`run_trial_group`. A *group* is one or more spec points sharing a
-realized network; its trial axis is cut into chunks (a per-spec chunk,
-or under ``backend="vectorized"`` a grid chunk advancing every entry in
-one kernel pass), and the chunks execute on a ladder of
+realized network; its trial axis is cut into chunks (each a grid chunk
+advancing every entry that has trials in it in one kernel pass), and
+the chunks execute on a ladder of
 :class:`~repro.resilience.executor.ChunkExecutor` rungs. What happens
 when a chunk fails is the policy's business:
 
@@ -53,7 +53,7 @@ from typing import Any, Callable, List, Mapping, Optional, Sequence, Set
 
 from ..exceptions import ConfigurationError
 from ..net.network import M2HeWNetwork
-from ..sim.parallel import default_chunk_size, merge_batch_size, resolve_plan
+from ..sim.parallel import default_chunk_size, resolve_plan
 from ..sim.results import result_from_dict
 from ..sim.rng import RngFactory, derive_trial_seed
 from .chaos import ChaosPlan
@@ -111,12 +111,12 @@ def run_trial_group(
 ) -> List[SupervisedTrials]:
     """Run a group of spec points on one network; one outcome per entry.
 
-    Under ``backend="vectorized"`` the entries' trial axes are chunked
-    jointly and every chunk advances all of them in one grid pass;
-    otherwise a group has a single entry. A work queue carries one spec
-    point per task, so distributed groups have exactly one entry. The
-    execution options mean what they mean for
-    :func:`run_supervised_trials`, except:
+    The entries' trial axes are chunked jointly and every chunk advances
+    all of them in one grid pass. A work queue carries one spec point
+    per task, so distributed groups have exactly one entry, and its
+    workers re-derive trial seeds from ``base_seed``, which must
+    therefore be an integer. The execution options mean what they mean
+    for :func:`run_supervised_trials`, except:
 
     Args:
         label: The group's name in error messages, logs and the backoff
@@ -128,8 +128,9 @@ def run_trial_group(
             entry trials)``.
 
     Raises:
-        ConfigurationError: No entries, a non-positive trial count, or
-            ``backend="distributed"`` without a ``queue_dir``.
+        ConfigurationError: No entries, a non-positive trial count,
+            ``backend="distributed"`` without a ``queue_dir``, or a work
+            queue given several entries or ``base_seed=None``.
         TrialExecutionError: Under the fail-fast policy, the first
             failing chunk; otherwise, the retry budget ran out.
         TrialQuarantinedError: A trial exhausted its retries and the
@@ -154,6 +155,17 @@ def run_trial_group(
         raise ConfigurationError(
             "backend 'distributed' needs a shared queue directory "
             "(queue_dir= / --queue)"
+        )
+    if distributed and len(entries) > 1:
+        raise ConfigurationError(
+            "a work queue task carries one spec point; got a group of "
+            f"{len(entries)} entries"
+        )
+    if distributed and base_seed is None:
+        raise ConfigurationError(
+            "a work queue needs an integer base_seed: its workers "
+            "re-derive every trial seed from it, so base_seed=None "
+            "would draw fresh entropy on every execution"
         )
     trials = max(entry.trials for entry in entries)
     if distributed and chunk_size is None:
@@ -189,7 +201,7 @@ def run_trial_group(
     todo = [
         {t for t in range(o.trials) if t not in o.completed} for o in outcomes
     ]
-    states = _chunk_states(todo, plan.chunk_size, vectorized=plan.vectorized)
+    states = _chunk_states(todo, plan.chunk_size)
     if not states:
         return outcomes
     restored = sum(o.restored for o in outcomes)
@@ -233,9 +245,7 @@ def run_trial_group(
     return outcomes
 
 
-def _chunk_states(
-    todo: Sequence[Set[int]], chunk_size: int, *, vectorized: bool
-) -> List[_ChunkState]:
+def _chunk_states(todo: Sequence[Set[int]], chunk_size: int) -> List[_ChunkState]:
     """Cut the group's pending trials into dispatch chunks.
 
     The trial axis is chunked jointly — contiguous runs of the pending
@@ -251,9 +261,7 @@ def _chunk_states(
             trials = tuple(t for t in indices if t in needed)
             if trials:
                 cells.append((j, trials))
-        states.append(
-            _ChunkState(indices=indices, cells=tuple(cells), vectorized=vectorized)
-        )
+        states.append(_ChunkState(indices=indices, cells=tuple(cells)))
     return states
 
 
@@ -267,7 +275,6 @@ def run_supervised_trials(
     max_workers: int = 1,
     backend: str = "auto",
     chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
     trial_timeout: Optional[float] = None,
     experiment: Optional[str] = None,
     policy: Optional[RetryPolicy] = None,
@@ -318,7 +325,7 @@ def run_supervised_trials(
         base_seed=base_seed,
         max_workers=max_workers,
         backend=backend,
-        chunk_size=merge_batch_size(backend, chunk_size, batch_size),
+        chunk_size=chunk_size,
         trial_timeout=trial_timeout,
         label=experiment,
         policy=policy or RetryPolicy(),

@@ -15,9 +15,11 @@ file — ``m2hew verify-archive`` checks all of it.
 
 Every campaign runs through one dispatch path, the supervisor's chunk
 executors (:func:`~repro.resilience.supervisor.run_trial_group`), one
-group of same-network specs at a time. Without a retry policy it fails
-fast on the first failing trial chunk. With one (``retry``, or implied
-by ``checkpoint_dir``, ``chaos`` or a work queue) failing chunks are
+group of same-network specs at a time: grid-eligible specs that realize
+the same network fuse into one group, whose chunks advance every spec
+in one grid pass. Without a retry policy it fails fast on the first
+failing trial chunk. With one (``retry``, or implied by
+``checkpoint_dir``, ``chaos`` or a work queue) failing chunks are
 retried with seeded backoff, trials that exhaust their budget are
 quarantined into the manifest with replay seeds instead of aborting the
 campaign, and completed trials are journaled so an interrupted campaign
@@ -51,7 +53,6 @@ from ..resilience.policy import RetryPolicy
 from ..resilience.verify import ARCHIVE_SCHEMA_VERSION
 from ..workloads.generator import WorkloadConfig, generate_network
 from ..core.registry import ASYNCHRONOUS_PROTOCOLS
-from .parallel import merge_batch_size
 from .results import DiscoveryResult
 from .runner import SYNC_PROTOCOLS, grid_batchable
 
@@ -190,17 +191,14 @@ def batch_fingerprint(
     )
 
 
-def _grid_groups(specs: Sequence[ExperimentSpec], backend: str) -> List[List[int]]:
+def _grid_groups(specs: Sequence[ExperimentSpec]) -> List[List[int]]:
     """Spec-index groups fusable into one grid pass, in first-seen order.
 
     Two experiments fuse when they realize the *same network* (identical
     workload recipe and network seed) and both are grid-eligible
-    (:func:`~repro.sim.runner.grid_batchable`). Groups of one gain
-    nothing over the per-spec batched path and keep its exact error
-    labels, so only groups of two or more are returned.
+    (:func:`~repro.sim.runner.grid_batchable`). A spec left alone runs
+    as its own group anyway, so only groups of two or more are returned.
     """
-    if backend != "vectorized":
-        return []
     groups: Dict[str, List[int]] = {}
     for i, spec in enumerate(specs):
         if not grid_batchable(spec.protocol, spec.runner_params):
@@ -300,7 +298,6 @@ def run_batch(
     max_workers: int = 1,
     backend: str = "auto",
     chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
     trial_timeout: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
@@ -325,20 +322,19 @@ def run_batch(
             for any worker count, so neither it nor ``backend`` is
             recorded in the manifest.
         backend: ``auto`` (default), ``serial``, ``process`` or
-            ``vectorized`` (trial-batched engine; byte-identical
-            output, see :mod:`repro.sim.batched`). Vectorized campaigns
-            additionally fuse grid-eligible experiments that share a
-            workload recipe and network seed into parameter-grid
-            batches (:class:`~repro.sim.batched.GridBatchedSimulator`)
-            — one kernel pass advances every spec point, still
-            byte-identical to per-spec execution, under every retry,
-            checkpoint and chaos setting. ``distributed`` (with
-            ``queue_dir``) shards chunks across ``m2hew worker``
-            processes instead.
-        chunk_size: Trials per dispatch unit (default: per trial when
-            serial, one batch when vectorized, auto when pooled).
-        batch_size: Trials per vectorized batch (``vectorized`` only;
-            same as ``chunk_size`` there — chunks are batches).
+            ``vectorized`` (a serial plan runs each group as one chunk;
+            see :data:`~repro.sim.parallel.BACKENDS`). Under each of
+            them grid-eligible experiments that share a workload recipe
+            and network seed fuse into parameter-grid chunks
+            (:class:`~repro.sim.batched.GridBatchedSimulator`) — one
+            kernel pass advances every spec point, still byte-identical
+            to per-spec execution, under every retry, checkpoint and
+            chaos setting. ``distributed`` (with ``queue_dir``) shards
+            chunks across ``m2hew worker`` processes instead, one spec
+            point per task, so it never fuses.
+        chunk_size: Trials per dispatch unit (default: per trial index
+            when serial, every trial under ``vectorized``, auto when
+            pooled).
         trial_timeout: Per-trial wall-clock budget in seconds.
         retry: Supervise execution with this retry/quarantine policy
             (see :class:`~repro.resilience.policy.RetryPolicy`) instead
@@ -359,8 +355,8 @@ def run_batch(
             (cadence/TTL knobs for the queue protocol).
         on_progress: Optional observer called with ``(experiment name,
             trials completed, trials total)`` as each experiment
-            advances (per trial, batch or collected chunk depending on
-            the backend — always in dispatch order). Purely
+            advances (per collected chunk — per trial index on a
+            default serial run — always in dispatch order). Purely
             observational and never recorded, so passing it cannot
             change archived bytes; an exception it raises aborts the
             campaign (cooperative cancellation).
@@ -376,7 +372,6 @@ def run_batch(
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate experiment names: {sorted(names)}")
 
-    chunk_size = merge_batch_size(backend, chunk_size, batch_size)
     if retry is None and (
         checkpoint_dir is not None
         or chaos is not None
@@ -384,9 +379,9 @@ def run_batch(
         or backend == "distributed"
     ):
         retry = RetryPolicy()  # resuming, drills and sharding imply recovery
-    # Same-network vectorized specs fuse into grid groups; a work queue
+    # Same-network grid-eligible specs fuse into one group; a work queue
     # task carries one spec point, so sharded campaigns never fuse.
-    fused = _grid_groups(specs, backend) if queue_dir is None else []
+    fused = _grid_groups(specs) if queue_dir is None else []
     grouped = {i for group in fused for i in group}
     groups = sorted(fused + [[i] for i in range(len(specs)) if i not in grouped])
 

@@ -7,10 +7,12 @@ Every campaign therefore runs as chunks of trial indices, dispatched by
 index and reassembled by index through one path — the supervisor's
 chunk executors (:func:`repro.resilience.supervisor.run_trial_group`) —
 so every archived byte is identical for 1 worker and for 8, for a
-per-trial loop and for a vectorized batch. This module holds what that
-path shares with its worker processes (the execution plan, the chunk
-payload and its worker entry point :func:`_run_chunk`) and its two
-fail-fast entry points, :func:`run_spec_trials` and
+chunk of one trial and for a chunk of many. Every chunk runs through
+the grid engine (:func:`~repro.sim.runner.run_experiment_grid_batched`),
+which advances all of its eligible rows in one kernel pass. This module
+holds what that path shares with its worker processes (the execution
+plan, the chunk payload and its worker entry point :func:`_run_chunk`)
+and its two fail-fast entry points, :func:`run_spec_trials` and
 :func:`run_grid_spec_trials`.
 
 Determinism contract: seeds are derived in the parent, once, and ship
@@ -52,14 +54,12 @@ from ..exceptions import ConfigurationError, TrialExecutionError, TrialTimeoutEr
 from ..net.network import M2HeWNetwork
 from ..net.serialization import network_from_json
 from .results import DiscoveryResult
-from .runner import run_experiment_grid_batched, run_experiment_trial
+from .runner import run_experiment_grid_batched
 
 __all__ = [
     "BACKENDS",
     "ParallelPlan",
-    "chunk_indices",
     "default_chunk_size",
-    "merge_batch_size",
     "pool_supported",
     "preferred_start_method",
     "resolve_plan",
@@ -69,11 +69,9 @@ __all__ = [
 
 #: Accepted ``backend`` values: ``auto`` picks ``process`` when more
 #: than one worker is requested and the platform can host a pool,
-#: degrading to ``serial`` otherwise. ``vectorized`` routes each chunk
-#: through the grid-batched engine
-#: (:func:`~repro.sim.runner.run_experiment_grid_batched`) — with
-#: workers the pool's chunks *are* the batches — falling back to the
-#: per-trial loop for spec points the batched engine cannot take.
+#: degrading to ``serial`` otherwise. ``vectorized`` behaves like
+#: ``auto`` except that a serial plan runs each group as one chunk (one
+#: grid pass over every trial) instead of one chunk per trial index.
 BACKENDS = ("auto", "serial", "process", "vectorized")
 
 #: Default dispatch granularity: enough chunks that the pool stays busy
@@ -91,16 +89,12 @@ class ParallelPlan:
         chunk_size: Trials per dispatch unit.
         start_method: Multiprocessing start method for the pool, or
             ``None`` for the serial backend.
-        vectorized: Execute each dispatch unit through the grid-batched
-            engine (its chunk becomes one batch) instead of a per-trial
-            loop. Output is byte-identical either way.
     """
 
     backend: str
     max_workers: int
     chunk_size: int
     start_method: Optional[str]
-    vectorized: bool = False
 
 
 def pool_supported() -> bool:
@@ -147,12 +141,11 @@ def resolve_plan(
     the platform cannot host a pool; an *explicit* ``backend="process"``
     on such a platform is a
     :class:`~repro.exceptions.ConfigurationError` instead of a silent
-    behavior change. ``backend="vectorized"`` keeps its batched
-    execution either way — only the pool degrades, never the batching.
+    behavior change.
 
-    Serial plans default to per-trial chunks (one progress report, one
-    journal write and one replayable index per trial), or to a single
-    batch of every trial when vectorized.
+    Serial plans default to one chunk per trial index (one progress
+    report, one journal write and one replayable index per trial), or
+    to a single chunk of every trial under ``backend="vectorized"``.
     """
     if backend not in BACKENDS:
         raise ConfigurationError(
@@ -163,7 +156,6 @@ def resolve_plan(
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
 
-    vectorized = backend == "vectorized"
     use_pool = backend == "process" or (
         backend in ("auto", "vectorized") and max_workers > 1
     )
@@ -181,9 +173,8 @@ def resolve_plan(
         return ParallelPlan(
             backend="serial",
             max_workers=1,
-            chunk_size=chunk_size or (trials if vectorized else 1),
+            chunk_size=chunk_size or (trials if backend == "vectorized" else 1),
             start_method=None,
-            vectorized=vectorized,
         )
     method = start_method or preferred_start_method()
     return ParallelPlan(
@@ -191,28 +182,7 @@ def resolve_plan(
         max_workers=max_workers,
         chunk_size=chunk_size or default_chunk_size(trials, max_workers),
         start_method=method,
-        vectorized=vectorized,
     )
-
-
-def merge_batch_size(
-    backend: str, chunk_size: Optional[int], batch_size: Optional[int]
-) -> Optional[int]:
-    """Fold ``batch_size`` into ``chunk_size`` (vectorized chunks ARE batches)."""
-    if batch_size is None:
-        return chunk_size
-    if backend != "vectorized":
-        raise ConfigurationError(
-            "batch_size is only meaningful with backend='vectorized'"
-        )
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    if chunk_size is not None and chunk_size != batch_size:
-        raise ConfigurationError(
-            "pass either chunk_size or batch_size, not conflicting "
-            "values: with backend='vectorized' chunks are batches"
-        )
-    return batch_size
 
 
 # ----------------------------------------------------------------------
@@ -220,32 +190,19 @@ def merge_batch_size(
 # ----------------------------------------------------------------------
 
 
-def chunk_indices(trials: int, chunk_size: int) -> List[Tuple[int, ...]]:
-    """Contiguous index chunks ``[0..trials)`` of at most ``chunk_size``."""
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    if chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [
-        tuple(range(lo, min(lo + chunk_size, trials)))
-        for lo in range(0, trials, chunk_size)
-    ]
-
-
 @dataclass(frozen=True)
 class _ChunkPayload:
     """Everything a worker needs to run one chunk, apart from the network.
 
     ``entries[k]`` is ``(protocol, runner_params, trials)``: a spec point
-    and which of the chunk's ``trial_indices`` it runs — one entry per
-    chunk, or one per fused spec point of a grid chunk. ``seeds`` align
+    and which of the chunk's ``trial_indices`` it runs — one per spec
+    point of the group that has trials in the chunk. ``seeds`` align
     with ``trial_indices``, so the payload pickles under any start method.
     """
 
     entries: Tuple[Tuple[str, Mapping[str, Any], Tuple[int, ...]], ...]
     trial_indices: Tuple[int, ...]
     seeds: Tuple[np.random.SeedSequence, ...]
-    vectorized: bool = False
     #: Chaos injection (supervised campaigns only): the plan and the
     #: chunk's zero-based attempt number travel with the payload so a
     #: "fail the first k attempts" event reproduces across processes.
@@ -256,7 +213,7 @@ class _ChunkPayload:
 def _run_chunk(
     payload: _ChunkPayload, network: Union[M2HeWNetwork, str]
 ) -> List[List[DiscoveryResult]]:
-    """Run one chunk: results per entry, in each entry's trial order.
+    """Run one chunk through the grid engine: results per entry, in trial order.
 
     ``network`` is the live object when the chunk runs in-process, its
     JSON form when it ran through a pool or a work queue.
@@ -269,19 +226,13 @@ def _run_chunk(
     if isinstance(network, str):
         network = network_from_json(network)
     seed_of = dict(zip(payload.trial_indices, payload.seeds))
-    entries = [
-        (protocol, [seed_of[t] for t in trials], params)
-        for protocol, params, trials in payload.entries
-    ]
-    if payload.vectorized:
-        return run_experiment_grid_batched(network, entries)
-    return [
+    return run_experiment_grid_batched(
+        network,
         [
-            run_experiment_trial(network, protocol, seed=seed, runner_params=params)
-            for seed in seeds
-        ]
-        for protocol, seeds, params in entries
-    ]
+            (protocol, [seed_of[t] for t in trials], params)
+            for protocol, params, trials in payload.entries
+        ],
+    )
 
 
 def _wrap_failure(
@@ -322,7 +273,6 @@ def run_spec_trials(
     max_workers: int = 1,
     backend: str = "auto",
     chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
     trial_timeout: Optional[float] = None,
     experiment: Optional[str] = None,
     on_progress: Optional[Callable[[int, int], None]] = None,
@@ -331,8 +281,8 @@ def run_spec_trials(
 
     Trial ``t`` always uses ``derive_trial_seed(base_seed, t)`` and the
     returned list is always ordered by trial index, so the output is
-    bitwise independent of ``max_workers``, ``backend``, ``chunk_size``
-    and ``batch_size``. This is the one dispatch path
+    bitwise independent of ``max_workers``, ``backend`` and
+    ``chunk_size``. This is the one dispatch path
     (:func:`~repro.resilience.supervisor.run_trial_group`) under its
     fail-fast policy: no retries, the first failing chunk aborts.
 
@@ -347,22 +297,20 @@ def run_spec_trials(
         runner_params: Extra keyword arguments for the runners.
         max_workers: Worker processes; 1 means serial.
         backend: One of :data:`BACKENDS`.
-        chunk_size: Trials per dispatch unit (default: per trial when
-            serial, one batch when vectorized, auto when pooled).
-        batch_size: Trials per vectorized batch (default: all trials
-            when serial, the chunk size when pooled — chunks *are*
-            batches). Only meaningful with ``backend="vectorized"``.
+        chunk_size: Trials per dispatch unit, each run as one grid pass
+            (default: per trial when serial, every trial when
+            ``backend="vectorized"``, auto when pooled).
         trial_timeout: Per-trial wall-clock budget in seconds; a pooled
             chunk gets ``trial_timeout × len(chunk)``. Exceeding it
             aborts the campaign with :class:`TrialTimeoutError`.
         experiment: Label used in error messages.
         on_progress: Optional observer called with ``(completed,
-            trials)`` after every collected chunk — per trial on the
-            serial path, per batch on the vectorized path, always in
-            dispatch order. Purely observational: it sees results only
-            after they exist, so it cannot perturb archived bytes. An
-            exception it raises aborts the campaign (callers use this
-            for cooperative cancellation).
+            trials)`` after every collected chunk (per trial on the
+            default serial path), always in dispatch order. Purely
+            observational: it sees results only after they exist, so it
+            cannot perturb archived bytes. An exception it raises aborts
+            the campaign (callers use this for cooperative
+            cancellation).
 
     Raises:
         TrialExecutionError: A trial raised (or the worker process
@@ -377,7 +325,7 @@ def run_spec_trials(
         base_seed=base_seed,
         max_workers=max_workers,
         backend=backend,
-        chunk_size=merge_batch_size(backend, chunk_size, batch_size),
+        chunk_size=chunk_size,
         trial_timeout=trial_timeout,
         label=experiment,
         on_progress=(
@@ -396,7 +344,6 @@ def run_grid_spec_trials(
     base_seed: Optional[int] = 0,
     max_workers: int = 1,
     chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
     trial_timeout: Optional[float] = None,
     experiment: Optional[str] = None,
     on_progress: Optional[Callable[[int, int, int], None]] = None,
@@ -412,9 +359,9 @@ def run_grid_spec_trials(
     size or grid composition (the invariance the differential tests
     pin across G and B).
 
-    The trial axis is chunked jointly: each chunk carries the
-    participating trials of all entries, and one kernel pass advances
-    them together (see
+    The trial axis is chunked jointly (by default, one chunk of every
+    trial when serial): each chunk carries the participating trials of
+    all entries, and one kernel pass advances them together (see
     :func:`~repro.sim.runner.run_experiment_grid_batched` for the
     eligibility and stopping-condition grouping rules). ``on_progress``
     (if given) fires per collected chunk, in dispatch order, with
@@ -437,7 +384,7 @@ def run_grid_spec_trials(
         base_seed=base_seed,
         max_workers=max_workers,
         backend="vectorized",
-        chunk_size=merge_batch_size("vectorized", chunk_size, batch_size),
+        chunk_size=chunk_size,
         trial_timeout=trial_timeout,
         label=experiment,
         on_progress=on_progress,

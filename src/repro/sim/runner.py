@@ -467,8 +467,6 @@ def grid_batchable(
 def run_experiment_grid_batched(
     network: M2HeWNetwork,
     entries: Sequence[GridEntry],
-    *,
-    profile: bool = False,
 ) -> List[List[DiscoveryResult]]:
     """Run several spec points' trial groups, fused into grid batches.
 
@@ -480,10 +478,13 @@ def run_experiment_grid_batched(
     kernel pass; everything else (``algorithm4``, non-vectorized rivals
     like ``mcdis``, ``engine="reference"``, traces, baseline
     parameters) falls back to the per-trial :func:`run_experiment_trial`
-    loop. Either way entry ``j``'s results are byte-identical to running
-    it alone, trial by trial — grid fusion is a dispatch optimization,
-    invariant by construction, and the differential tests pin it across
-    G and B. A single entry (G=1) is the trial-batched engine.
+    loop, and so does a stopping group of a single row, which runs as
+    :class:`~repro.sim.fast_slotted.FastSlottedSimulator` (the grid's
+    one-row form). Either way entry ``j``'s results are byte-identical
+    to running it alone, trial by trial — grid fusion is a dispatch
+    optimization, invariant by construction, and the differential tests
+    pin it across G and B. A single entry (G=1) is the trial-batched
+    engine.
 
     Returns one result list per entry, in entry order.
     """
@@ -491,21 +492,16 @@ def run_experiment_grid_batched(
     groups: Dict[Tuple[int, bool], List[int]] = {}
     for j, (protocol, seeds, runner_params) in enumerate(entries):
         params = dict(runner_params or {})
-        if not grid_batchable(protocol, params) or not list(seeds):
-            results[j] = [
-                run_experiment_trial(
-                    network, protocol, seed=s, runner_params=runner_params
-                )
-                for s in seeds
-            ]
-            continue
-        key = (
-            int(params.get("max_slots", 200_000)),
-            bool(params.get("stop_on_full_coverage", True)),
-        )
-        groups.setdefault(key, []).append(j)
+        if grid_batchable(protocol, params) and list(seeds):
+            key = (
+                int(params.get("max_slots", 200_000)),
+                bool(params.get("stop_on_full_coverage", True)),
+            )
+            groups.setdefault(key, []).append(j)
 
     for (max_slots, stop_oracle), indices in groups.items():
+        if sum(len(entries[j][1]) for j in indices) == 1:
+            continue  # one row: the per-trial loop below runs it
         cells = []
         for j in indices:
             protocol, seeds, runner_params = entries[j]
@@ -524,7 +520,7 @@ def run_experiment_grid_batched(
                     faults=_resolve_faults(params.get("faults")),
                 )
             )
-        sim = GridBatchedSimulator(network, cells, profile=profile)
+        sim = GridBatchedSimulator(network, cells)
         stopping = StoppingCondition(
             max_slots=max_slots, stop_on_full_coverage=stop_oracle
         )
@@ -538,7 +534,17 @@ def run_experiment_grid_batched(
                 result.metadata["protocol"] = protocol
                 result.metadata["delta_est"] = params.get("delta_est")
             results[j] = cell_results
-    return [group if group is not None else [] for group in results]
+    return [
+        done
+        if done is not None
+        else [
+            run_experiment_trial(
+                network, protocol, seed=s, runner_params=runner_params
+            )
+            for s in seeds
+        ]
+        for done, (protocol, seeds, runner_params) in zip(results, entries)
+    ]
 
 
 def run_trials(

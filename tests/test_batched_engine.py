@@ -140,14 +140,14 @@ class TestBatchSizeInvariance:
         run_batch([spec], base_seed=77, output_dir=out, **kwargs)
         return (out / "invariance.json").read_bytes()
 
-    @pytest.mark.parametrize("batch_size", [1, 4, 7, 32])
-    def test_byte_identical_archives(self, tmp_path, batch_size):
+    @pytest.mark.parametrize("chunk_size", [1, 4, 7, 32])
+    def test_byte_identical_archives(self, tmp_path, chunk_size):
         reference = self._archive(tmp_path, "serial", backend="serial")
         vectorized = self._archive(
             tmp_path,
-            f"vec{batch_size}",
+            f"vec{chunk_size}",
             backend="vectorized",
-            batch_size=batch_size,
+            chunk_size=chunk_size,
         )
         assert vectorized == reference
 
@@ -163,7 +163,7 @@ class TestBatchSizeInvariance:
             runner_params=self.PARAMS,
             backend="serial",
         )
-        for batch_size in (1, 4, 7, 32):
+        for chunk_size in (1, 4, 7, 32):
             vectorized = run_spec_trials(
                 net,
                 "algorithm2",
@@ -171,7 +171,7 @@ class TestBatchSizeInvariance:
                 base_seed=5,
                 runner_params=self.PARAMS,
                 backend="vectorized",
-                batch_size=batch_size,
+                chunk_size=chunk_size,
             )
             assert vectorized == serial
 
@@ -257,25 +257,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="offset"):
             BatchedSlottedSimulator(
                 net, schedule, [RngFactory(0)], start_offsets={0: -1}
-            )
-
-    def test_batch_size_requires_vectorized_backend(self):
-        net = homogeneous_net(5)
-        with pytest.raises(ConfigurationError, match="vectorized"):
-            run_spec_trials(
-                net, "algorithm2", trials=2, backend="serial", batch_size=2
-            )
-
-    def test_conflicting_chunk_and_batch_size(self):
-        net = homogeneous_net(5)
-        with pytest.raises(ConfigurationError, match="chunk_size or batch_size"):
-            run_spec_trials(
-                net,
-                "algorithm2",
-                trials=4,
-                backend="vectorized",
-                batch_size=2,
-                chunk_size=3,
             )
 
 

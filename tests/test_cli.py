@@ -184,7 +184,7 @@ class TestBatchCommand:
         assert args.workers == 1
         assert args.backend == "auto"
         assert args.chunk_size is None
-        assert args.batch_size is None
+        assert not hasattr(args, "batch_size")
         assert args.trial_timeout is None
         assert args.output is None
 
@@ -247,11 +247,11 @@ class TestBatchCommand:
                 "batch",
                 "rural_sparse",
                 "--backend", "vectorized",
-                "--batch-size", "8",
+                "--chunk-size", "8",
             ]
         )
         assert args.backend == "vectorized"
-        assert args.batch_size == 8
+        assert args.chunk_size == 8
 
     def test_vectorized_archive_identical_to_serial(self, tmp_path, capsys):
         base = [
@@ -269,7 +269,7 @@ class TestBatchCommand:
                 base
                 + [
                     "--backend", "vectorized",
-                    "--batch-size", "2",
+                    "--chunk-size", "2",
                     "--output", str(vec_dir),
                 ]
             )
@@ -319,7 +319,7 @@ class TestHelpTextDrift:
         assert "--workers" in help_text
         assert "--backend" in help_text
         assert "--trial-timeout" in help_text
-        assert "--batch-size" in help_text
+        assert "--chunk-size" in help_text
         assert "vectorized" in help_text
 
     def test_top_level_help_lists_batch(self):

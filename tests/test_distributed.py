@@ -27,6 +27,7 @@ import repro.resilience.distributed as distributed_module
 from repro.exceptions import ConfigurationError
 from repro.net.serialization import network_to_json
 from repro.resilience import (
+    GroupEntry,
     LeasePolicy,
     QueueWorker,
     RetryPolicy,
@@ -34,6 +35,7 @@ from repro.resilience import (
     load_sidecar,
     parse_chaos_spec,
     run_supervised_trials,
+    run_trial_group,
     run_worker,
     verify_archive,
 )
@@ -293,6 +295,24 @@ class TestDistributedSupervised:
                 runner_params=PARAMS,
                 backend="distributed",
             )
+
+    def test_queue_takes_one_entry_per_group(self, network, tmp_path):
+        entries = [
+            GroupEntry("a", "algorithm1", 2, PARAMS),
+            GroupEntry("b", "algorithm3", 2, PARAMS),
+        ]
+        with pytest.raises(ConfigurationError, match="one spec point"):
+            run_trial_group(network, entries, base_seed=7, queue_dir=tmp_path)
+        assert not list(tmp_path.iterdir())  # nothing was published
+
+    def test_queue_needs_integer_base_seed(self, network, tmp_path):
+        # Workers re-derive seeds from the task's base seed; None would
+        # draw fresh entropy per execution and break byte-identical
+        # double completions.
+        entries = [GroupEntry("a", "algorithm1", 2, PARAMS)]
+        with pytest.raises(ConfigurationError, match="base_seed"):
+            run_trial_group(network, entries, base_seed=None, queue_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_no_workers_degrades_to_local(self, network, reference, tmp_path):
         outcome = run_supervised_trials(

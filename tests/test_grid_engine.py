@@ -31,6 +31,7 @@ from repro.sim.runner import (
 )
 from repro.sim.stopping import StoppingCondition
 from repro.workloads.generator import WorkloadConfig
+from tests.archives import experiment_files, solo_archives
 
 BASE_SEED = 1717
 
@@ -428,15 +429,15 @@ class TestParallelGridDispatch:
             backend="serial",
         )
 
-    @pytest.mark.parametrize("batch_size", [1, 4, 32])
-    def test_matches_per_spec_serial(self, batch_size):
+    @pytest.mark.parametrize("chunk_size", [1, 4, 32])
+    def test_matches_per_spec_serial(self, chunk_size):
         net = self._network()
         entries = [
             ("algorithm2", 7, self.PARAMS),
             ("algorithm2", 3, {**self.PARAMS, "erasure_prob": 0.15}),
         ]
         per_entry = run_grid_spec_trials(
-            net, entries, base_seed=21, batch_size=batch_size
+            net, entries, base_seed=21, chunk_size=chunk_size
         )
         assert per_entry[0] == self._serial(net, 7)
         expected_b = run_spec_trials(
@@ -465,7 +466,7 @@ class TestParallelGridDispatch:
             net,
             [("algorithm2", 5, self.PARAMS), ("algorithm2", 2, self.PARAMS)],
             base_seed=21,
-            batch_size=2,
+            chunk_size=2,
             on_progress=lambda j, done, total: seen.append((j, done, total)),
         )
         assert (0, 5, 5) in seen and (1, 2, 2) in seen
@@ -519,11 +520,18 @@ class TestBatchGridFusion:
             ),
         ]
 
-    def test_specs_group_for_vectorized_backend_only(self):
+    def test_same_network_eligible_specs_group(self):
         specs = self._specs()
-        assert _grid_groups(specs, "vectorized") == [[0, 1, 2]]
-        assert _grid_groups(specs, "serial") == []
-        assert _grid_groups(specs, "process") == []
+        rival = ExperimentSpec(
+            name="mcdis",
+            workload=self.WORKLOAD,
+            protocol="mcdis",
+            trials=2,
+            runner_params={"max_slots": 5_000, "delta_est": None},
+        )
+        assert _grid_groups(specs) == [[0, 1, 2]]
+        assert _grid_groups([specs[0], rival, *specs[1:]]) == [[0, 2, 3]]
+        assert _grid_groups(specs[:1]) == []
 
     def test_network_seed_splits_groups(self):
         specs = self._specs()
@@ -535,19 +543,40 @@ class TestBatchGridFusion:
             network_seed=9,
             runner_params={"max_slots": 5_000, "delta_est": None},
         )
-        assert _grid_groups([*specs, moved], "vectorized") == [[0, 1, 2]]
+        assert _grid_groups([*specs, moved]) == [[0, 1, 2]]
 
-    @pytest.mark.parametrize("batch_size", [1, 4, 32])
-    def test_archives_byte_identical_to_serial(self, tmp_path, batch_size):
+    @pytest.mark.parametrize("chunk_size", [1, 4, 32])
+    def test_archives_byte_identical_to_serial(self, tmp_path, chunk_size):
         specs = self._specs()
+        alone = solo_archives(specs, 77, tmp_path / "alone", backend="serial")
         run_batch(specs, base_seed=77, output_dir=tmp_path / "serial",
                   backend="serial")
         run_batch(specs, base_seed=77, output_dir=tmp_path / "grid",
-                  backend="vectorized", batch_size=batch_size)
-        for name in ("base", "erased", "alg3", "manifest"):
-            serial = (tmp_path / "serial" / f"{name}.json").read_bytes()
-            grid = (tmp_path / "grid" / f"{name}.json").read_bytes()
-            assert grid == serial, name
+                  backend="vectorized", chunk_size=chunk_size)
+        assert experiment_files(tmp_path / "grid") == alone
+        manifest = "manifest.json"
+        assert (tmp_path / "grid" / manifest).read_bytes() == (
+            tmp_path / "serial" / manifest
+        ).read_bytes()
+
+    def test_default_campaign_fuses_one_pass_per_trial_index(
+        self, tmp_path, monkeypatch
+    ):
+        rows = []
+        real_run = GridBatchedSimulator.run
+
+        def counted(self, stopping):
+            rows.append(self.batch_size)
+            return real_run(self, stopping)
+
+        specs = self._specs()
+        alone = solo_archives(specs, 77, tmp_path / "alone")
+        monkeypatch.setattr(GridBatchedSimulator, "run", counted)
+        run_batch(specs, base_seed=77, output_dir=tmp_path / "fused")
+        # Serial default chunks are one trial index each: a pass per
+        # index, with a row for every spec that has that trial.
+        assert rows == [3, 3, 3, 2, 2]
+        assert experiment_files(tmp_path / "fused") == alone
 
     def test_progress_reports_per_experiment(self):
         seen = []

@@ -16,9 +16,9 @@ from repro.exceptions import (
 )
 from repro.net import M2HeWNetwork, NodeSpec
 from repro.resilience.executor import PooledChunkExecutor
+from repro.resilience.supervisor import _chunk_states
 from repro.sim.batch import ExperimentSpec, run_batch
 from repro.sim.parallel import (
-    chunk_indices,
     default_chunk_size,
     pool_supported,
     resolve_plan,
@@ -93,6 +93,11 @@ class TestResolvePlan:
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError, match="chunk_size"):
             resolve_plan(10, max_workers=2, chunk_size=0)
+
+
+def chunk_indices(trials, chunk_size):
+    """The supervisor's chunks of a single entry with every trial pending."""
+    return [s.indices for s in _chunk_states([set(range(trials))], chunk_size)]
 
 
 class TestChunking:
@@ -474,7 +479,7 @@ class TestReplayContract:
         def poisoned(*_args, **_kwargs):
             raise original
 
-        monkeypatch.setattr("repro.sim.parallel.run_experiment_trial", poisoned)
+        monkeypatch.setattr("repro.sim.runner.run_experiment_trial", poisoned)
         with pytest.raises(TrialExecutionError) as info:
             run_spec_trials(
                 tiny_net(),

@@ -20,14 +20,17 @@ from repro.exceptions import (
 from repro.resilience import (
     ChaosEvent,
     ChaosPlan,
+    GroupEntry,
     RetryPolicy,
     parse_chaos_spec,
     run_supervised_trials,
+    run_trial_group,
     verify_archive,
 )
 from repro.sim.batch import ExperimentSpec, run_batch
 from repro.sim.parallel import pool_supported, run_spec_trials
 from repro.workloads.generator import WorkloadConfig, generate_network
+from tests.archives import archive_bytes, experiment_files, solo_archives
 
 PARAMS = {"delta_est": 4, "max_slots": 30_000}
 NO_SLEEP = {"sleep": lambda _delay: None}
@@ -250,10 +253,6 @@ def _specs(trials=5):
     ]
 
 
-def _archive_bytes(directory):
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
-
-
 class TestResilientRunBatch:
     def test_supervised_archive_equals_legacy(self, tmp_path):
         run_batch(_specs(), base_seed=11, output_dir=tmp_path / "legacy")
@@ -263,7 +262,7 @@ class TestResilientRunBatch:
             output_dir=tmp_path / "supervised",
             retry=FAST_RETRY,
         )
-        assert _archive_bytes(tmp_path / "legacy") == _archive_bytes(
+        assert archive_bytes(tmp_path / "legacy") == archive_bytes(
             tmp_path / "supervised"
         )
 
@@ -276,7 +275,7 @@ class TestResilientRunBatch:
             retry=FAST_RETRY,
             chaos=parse_chaos_spec("raise@0,raise@3"),
         )
-        assert _archive_bytes(tmp_path / "clean") == _archive_bytes(
+        assert archive_bytes(tmp_path / "clean") == archive_bytes(
             tmp_path / "chaos"
         )
         assert verify_archive(tmp_path / "chaos").ok
@@ -300,7 +299,7 @@ class TestResilientRunBatch:
         )
         assert outcomes[0].restored == 2
         assert outcomes[1].restored == 5
-        assert _archive_bytes(tmp_path / "clean") == _archive_bytes(
+        assert archive_bytes(tmp_path / "clean") == archive_bytes(
             tmp_path / "resumed"
         )
 
@@ -369,10 +368,20 @@ def _two_network_specs():
 
 @pytest.fixture(scope="module")
 def clean_archive(tmp_path_factory):
-    """The fail-fast per-trial archive every dispatch choice must match."""
-    out = tmp_path_factory.mktemp("clean")
-    run_batch(_two_network_specs(), base_seed=11, output_dir=out, backend="serial")
-    return _archive_bytes(out)
+    """The archive every dispatch choice must match.
+
+    Each experiment file comes from a fail-fast run of that spec alone
+    (one trial per chunk, nothing to fuse with); the manifest from a
+    fail-fast run of the whole campaign, whose fused experiment files
+    must already equal the unfused ones.
+    """
+    root = tmp_path_factory.mktemp("clean")
+    specs = _two_network_specs()
+    files = solo_archives(specs, 11, root / "alone", backend="serial")
+    run_batch(specs, base_seed=11, output_dir=root / "all", backend="serial")
+    assert experiment_files(root / "all") == files
+    files["manifest.json"] = (root / "all" / "manifest.json").read_bytes()
+    return files
 
 
 @pytest.fixture
@@ -389,6 +398,54 @@ def grid_passes(monkeypatch):
 
     monkeypatch.setattr(GridBatchedSimulator, "run", counted)
     return rows
+
+
+class TestFusedErrorLabels:
+    """Errors of a fused group name the experiments the failing chunk ran."""
+
+    def _group(self):
+        return [
+            GroupEntry("A", "algorithm1", 4, PARAMS),
+            GroupEntry("B", "algorithm3", 2, PARAMS),
+        ]
+
+    @pytest.mark.parametrize("trial, named", [(3, "A"), (1, "A + B")])
+    def test_fail_fast_names_the_chunk_experiments(self, network, trial, named):
+        with pytest.raises(TrialExecutionError) as excinfo:
+            run_trial_group(
+                network,
+                self._group(),
+                base_seed=7,
+                label="A + B",
+                chaos=parse_chaos_spec(f"raise@{trial}"),
+            )
+        assert excinfo.value.experiment == named
+        assert excinfo.value.trial_indices == (trial,)
+
+    def test_retry_budget_error_names_the_chunk_experiments(self, network):
+        with pytest.raises(TrialExecutionError, match="retry budget") as excinfo:
+            run_trial_group(
+                network,
+                self._group(),
+                base_seed=7,
+                label="A + B",
+                policy=RetryPolicy(base_delay=0.0, jitter=0.0, max_total_retries=0),
+                chaos=parse_chaos_spec("raise@2"),
+                **NO_SLEEP,
+            )
+        assert excinfo.value.experiment == "A"
+        assert excinfo.value.trial_indices == (2,)
+
+    def test_unnamed_entry_falls_back_to_group_label(self, network):
+        with pytest.raises(TrialExecutionError) as excinfo:
+            run_trial_group(
+                network,
+                [GroupEntry(None, "algorithm1", 2, PARAMS)],
+                base_seed=7,
+                label="group",
+                chaos=parse_chaos_spec("raise@0"),
+            )
+        assert excinfo.value.experiment == "group"
 
 
 class TestOneDispatchPath:
@@ -411,7 +468,7 @@ class TestOneDispatchPath:
             backend=backend,
             retry=retry,
         )
-        assert _archive_bytes(tmp_path / "out") == clean_archive
+        assert archive_bytes(tmp_path / "out") == clean_archive
 
     def test_vectorized_chaos_recovery_archives_clean_bytes(
         self, tmp_path, clean_archive
@@ -426,7 +483,7 @@ class TestOneDispatchPath:
             retry=FAST_RETRY,
             chaos=parse_chaos_spec("raise@0"),
         )
-        assert _archive_bytes(tmp_path / "out") == clean_archive
+        assert archive_bytes(tmp_path / "out") == clean_archive
 
     def test_checkpointed_grid_fuses_and_resumes_identically(
         self, tmp_path, clean_archive, grid_passes
@@ -440,7 +497,7 @@ class TestOneDispatchPath:
             **supervised,
         )
         assert grid_passes == [12, 12]  # one pass per network: 3 specs x 4 trials
-        assert _archive_bytes(tmp_path / "full") == clean_archive
+        assert archive_bytes(tmp_path / "full") == clean_archive
 
         class Killed(Exception):
             pass
@@ -451,7 +508,7 @@ class TestOneDispatchPath:
         ck = tmp_path / "ck"
         with pytest.raises(Killed):
             run_batch(
-                specs, checkpoint_dir=ck, batch_size=2, on_progress=kill, **supervised
+                specs, checkpoint_dir=ck, chunk_size=2, on_progress=kill, **supervised
             )
         # The first chunk (trials 0-1 of every spec on network 0) was
         # journaled per entry before the kill; network 1 never started.
@@ -466,4 +523,4 @@ class TestOneDispatchPath:
         )
         assert [o.restored for o in outcomes] == [2, 2, 2, 0, 0, 0]
         assert grid_passes == [6, 12]
-        assert _archive_bytes(tmp_path / "resumed") == clean_archive
+        assert archive_bytes(tmp_path / "resumed") == clean_archive

@@ -87,7 +87,7 @@ class TestRunSpecTrialsObserver:
             base_seed=0,
             runner_params={**PARAMS, "stop_on_full_coverage": False},
             backend="vectorized",
-            batch_size=2,
+            chunk_size=2,
             on_progress=lambda done, total: events.append((done, total)),
         )
         assert_monotone_to_total(events, 4)
