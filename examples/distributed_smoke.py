@@ -6,7 +6,8 @@ Exercises the lease-based work queue the way CI does, with real
 1. run the campaign serially with ``m2hew batch`` as the byte
    reference, and check it with ``m2hew verify-archive --json``;
 2. start two workers, run the same campaign with ``--queue`` (one
-   trial per chunk so both workers stay busy);
+   trial index per chunk so both workers stay busy; both protocols
+   realize one network, so every task chunk carries both of them);
 3. after the first chunk-completion marker lands, SIGKILL one worker —
    preferring whichever currently holds a lease — while the campaign
    is still running;
@@ -31,7 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 SCENARIO = "single_common_channel"
-PROTOCOL = "algorithm3"
+PROTOCOLS = ("algorithm1", "algorithm3")
 TRIALS = 12
 MAX_SLOTS = 50_000
 LEASE_TTL = 3.0
@@ -49,7 +50,7 @@ def batch_args(output: Path) -> List[str]:
     return [
         SCENARIO,
         "--protocols",
-        PROTOCOL,
+        *PROTOCOLS,
         "--trials",
         str(TRIALS),
         "--max-slots",

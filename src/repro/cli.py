@@ -843,39 +843,38 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .analysis.stats import summarize
-    from .sim.runner import run_trials
+    from .service.campaigns import CampaignRequest, campaign_specs
+    from .sim.batch import run_batch
 
     s = scenario(args.scenario)
-    network = s.build(args.seed)
     delta_est = args.delta_est if args.delta_est is not None else s.delta_est
-    rows = []
-    failures = 0
-    for protocol in args.protocols:
-        params = experiment_runner_params(
-            protocol, network, delta_est=delta_est, max_slots=args.max_slots
-        )
-        results = run_trials(
-            lambda seed, p=protocol, kw=params: run_synchronous(
-                network, p, seed=seed, **kw
-            ),
-            num_trials=args.trials,
+    # One fault-free campaign on the network of ``--seed``: the
+    # protocols share that network and every trial seed, so each trial
+    # index runs as one grid pass over the protocols the grid takes.
+    specs = campaign_specs(
+        CampaignRequest(
+            scenario=args.scenario,
+            protocols=tuple(args.protocols),
+            trials=args.trials,
             base_seed=args.seed,
+            network_seed=args.seed,
+            max_slots=args.max_slots,
+            delta_est=args.delta_est,
+            faults="none",
         )
-        times = [
-            r.completion_time for r in results if r.completion_time is not None
-        ]
-        completed = sum(r.completed for r in results)
-        failures += args.trials - completed
-        row = {
-            "protocol": protocol,
+    )
+    outcomes = run_batch(specs, base_seed=args.seed)
+    rows = []
+    for outcome in outcomes:
+        completed = sum(r.completed for r in outcome.results)
+        row: Dict[str, Any] = {
+            "protocol": outcome.spec.protocol,
             "completed": f"{completed}/{args.trials}",
         }
-        if times:
-            summary = summarize(times)
-            row["mean_slots"] = round(summary.mean, 1)
-            row["p90_slots"] = round(summary.p90, 1)
-            row["max_slots"] = summary.maximum
+        if outcome.completion is not None:
+            row["mean_slots"] = round(outcome.completion.mean, 1)
+            row["p90_slots"] = round(outcome.completion.p90, 1)
+            row["max_slots"] = outcome.completion.maximum
         rows.append(row)
     print(
         format_table(
@@ -886,7 +885,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             ),
         )
     )
-    return 0 if failures == 0 else 1
+    return 0 if all(o.completed_fraction == 1.0 for o in outcomes) else 1
 
 
 def _resolve_resilience(

@@ -2,10 +2,12 @@
 
 The executor ladder of :mod:`repro.resilience.supervisor` is
 single-machine; this module adds the rung that is not.
-:class:`DistributedChunkExecutor` publishes a campaign's dispatch
+:class:`DistributedChunkExecutor` publishes a trial group's dispatch
 chunks as a **task** in a shared :class:`WorkQueue` directory (any
 filesystem both hosts can see), where any number of ``m2hew worker``
-processes — on this host or others — claim and execute them:
+processes — on this host or others — claim and execute them. A task
+carries the whole group, so workers run the same grid chunks as the
+in-process rung:
 
 * **claims are atomic lease files**: a worker owns a chunk iff it
   created ``chunk-NNNNN.lease.json`` with ``O_CREAT|O_EXCL`` (the one
@@ -21,15 +23,16 @@ processes — on this host or others — claim and execute them:
   reclamation counts against the chunk's :class:`RetryPolicy` budget
   and sleeps the same seeded backoff as any other failure;
 * **no workers? no problem**: when no live remote worker exists the
-  coordinator executes unclaimed chunks itself, so ``--backend
+  coordinator claims unclaimed chunks itself and runs each through the
+  in-process rung, retrying inline under the lease, so ``--backend
   distributed`` degrades to (supervised) in-process execution.
 
 Determinism is inherited, not re-proven: a chunk's payload is fully
-determined by ``(base_seed, trial indices)`` — workers re-derive
-``derive_trial_seed(base_seed, t)`` locally — and the coordinator
-records results keyed by trial index through the shared
-:class:`~repro.resilience.executor._Supervision` bookkeeping into the
-shared :class:`~repro.resilience.checkpoint.TrialJournal`. A lease
+determined by ``base_seed`` and its ``(entry index, trials)`` cells —
+workers re-derive ``derive_trial_seed(base_seed, t)`` locally — and the
+coordinator records results keyed by entry and trial index through the
+shared :class:`~repro.resilience.executor._Supervision` bookkeeping into
+the shared :class:`~repro.resilience.checkpoint.TrialJournal`. A lease
 stolen mid-execution therefore produces a *double completion* whose
 two result sets are byte-identical, and whichever is absorbed, the
 archive cannot change: resolution is by trial index, never by
@@ -45,7 +48,6 @@ crash tolerance matches the journal's own torn-final-line rule.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 import re
@@ -55,16 +57,16 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..exceptions import ConfigurationError
 from ..sim.parallel import _ChunkPayload, _run_chunk
-from ..sim.results import DiscoveryResult, result_from_dict
+from ..sim.results import result_from_dict
 from ..sim.rng import derive_trial_seed
 from .atomic import atomic_write_text, sha256_of_text
 from .chaos import ChaosEvent, ChaosPlan
 from .checkpoint import load_sidecar
-from .executor import ChunkExecutor, _ChunkState, _Supervision
+from .executor import ChunkExecutor, InProcessChunkExecutor, _ChunkState, _Supervision
 
 __all__ = [
     "DISTRIBUTED_BACKEND",
@@ -87,7 +89,9 @@ __all__ = [
 #: chunking plan but an executor choice layered above one.
 DISTRIBUTED_BACKEND = "distributed"
 
-QUEUE_SCHEMA_VERSION = 1
+#: Version 2: a task carries a whole trial group (``entries`` plus
+#: per-chunk ``(entry index, trials)`` cells) and a ``campaign`` digest.
+QUEUE_SCHEMA_VERSION = 2
 
 TASK_SUFFIX = ".task.json"
 
@@ -200,6 +204,11 @@ def chaos_from_jsonable(events: Optional[Any]) -> Optional[ChaosPlan]:
         return None
 
 
+def _cells_to_jsonable(cells: Sequence[Tuple[int, Sequence[int]]]) -> List[Any]:
+    """A chunk's ``(entry index, trials)`` cells as they ship in the queue."""
+    return [[j, list(trials)] for j, trials in cells]
+
+
 class WorkQueue:
     """A shared-directory work queue: tasks, chunk markers, heartbeats.
 
@@ -209,12 +218,12 @@ class WorkQueue:
         queue.json                     schema marker
         tasks/<task>.task.json         immutable task spec
         tasks/<task>/chunk-NNNNN.lease.json   atomic claim (owner id)
-        tasks/<task>/chunk-NNNNN.done.json    results, keyed by trial
+        tasks/<task>/chunk-NNNNN.done.json    results, per cell
         tasks/<task>/chunk-NNNNN.fail.json    failure for the coordinator
         tasks/<task>/chunk-NNNNN.retry.json   coordinator-approved attempt
         workers/<worker>.json          heartbeat (incrementing beat)
 
-    Task ids are content-derived (experiment + payload digest), so a
+    Task ids are content-derived (group label + payload digest), so a
     coordinator that crashed and re-published the same campaign lands
     on the same id and absorbs the done markers workers already wrote.
     """
@@ -252,31 +261,34 @@ class WorkQueue:
         return self.tasks_dir / task_id
 
     def task_id_for(self, payload: Mapping[str, Any]) -> str:
-        """Content-derived task id (same campaign → same id)."""
+        """Content-derived task id (same campaign → same id; label cut short)."""
         digest = sha256_of_text(json.dumps(payload, sort_keys=True))
-        return f"{_slug(str(payload.get('experiment') or 'campaign'))}-{digest[:12]}"
+        return f"{_slug(str(payload.get('experiment') or 'campaign'))[:64]}-{digest[:12]}"
 
     def publish_task(self, payload: Mapping[str, Any]) -> str:
-        """Publish a task, retracting stale tasks of the same experiment.
+        """Publish a task, retracting stale tasks of the same campaign.
 
+        The task records a ``campaign`` digest of all but its ``chunks``:
+        an equal digest means the same campaign with another pending
+        set, while other campaigns under the same label are left alone.
         Idempotent: re-publishing an identical payload reuses the
         existing task (and whatever done markers it accumulated), which
         is how a restarted coordinator resumes in-flight remote work.
         """
-        task_id = self.task_id_for(payload)
-        experiment = payload.get("experiment")
+        rest = {k: v for k, v in payload.items() if k != "chunks"}
+        campaign = sha256_of_text(json.dumps(rest, sort_keys=True))
+        task = {**payload, "campaign": campaign}
+        task_id = self.task_id_for(task)
         for stale_id in self.list_tasks():
             if stale_id == task_id:
                 continue
             stale = self.read_task(stale_id)
-            if stale is not None and stale.get("experiment") == experiment:
+            if stale is not None and stale.get("campaign") == campaign:
                 self.retract_task(stale_id)
         path = self.task_path(task_id)
         if load_sidecar(path) is None:
             self.state_dir(task_id).mkdir(parents=True, exist_ok=True)
-            atomic_write_text(
-                path, json.dumps(dict(payload), sort_keys=True) + "\n"
-            )
+            atomic_write_text(path, json.dumps(task, sort_keys=True) + "\n")
         return task_id
 
     def retract_task(self, task_id: str) -> None:
@@ -461,9 +473,11 @@ class QueueWorker:
     def _execute(
         self, task_id: str, task: Dict[str, Any], chunk_no: int, attempt: int
     ) -> str:
-        indices: Tuple[int, ...] = tuple(
-            int(t) for t in task["chunks"][chunk_no]
-        )
+        cells = [
+            (int(j), tuple(int(t) for t in trials))
+            for j, trials in task["chunks"][chunk_no]
+        ]
+        indices = tuple(sorted({t for _, trials in cells for t in trials}))
         if self.on_claimed is not None:
             self.on_claimed(task_id, chunk_no)
         chaos = chaos_from_jsonable(task.get("chaos"))
@@ -473,9 +487,11 @@ class QueueWorker:
             # In-process doubles abandon the lease instead of dying.
             return f"{task_id}/chunk-{chunk_no}: killed"
         base_seed = task.get("base_seed")
+        entries = task["entries"]
         payload = _ChunkPayload(
-            entries=(
-                (str(task["protocol"]), dict(task.get("runner_params") or {}), indices),
+            entries=tuple(
+                (str(entries[j][0]), dict(entries[j][1] or {}), trials)
+                for j, trials in cells
             ),
             trial_indices=indices,
             seeds=tuple(derive_trial_seed(base_seed, t) for t in indices),
@@ -483,7 +499,7 @@ class QueueWorker:
             attempt=attempt,
         )
         try:
-            (results,) = _run_chunk(payload, str(task["network"]))
+            results = _run_chunk(payload, str(task["network"]))
         except Exception as exc:
             wrote = self.queue.write_marker(
                 task_id,
@@ -509,8 +525,8 @@ class QueueWorker:
                 "chunk": chunk_no,
                 "attempt": attempt,
                 "worker": self.worker_id,
-                "trials": list(indices),
-                "results": [r.to_dict() for r in results],
+                "cells": _cells_to_jsonable(cells),
+                "results": [[r.to_dict() for r in rs] for rs in results],
             },
         )
         self.queue.release(task_id, chunk_no)
@@ -569,16 +585,17 @@ class DistributedChunkExecutor(ChunkExecutor):
         pending = [s for s in states if not s.done]
         if not pending:
             return
-        (entry,) = sup.entries  # a task carries one spec point
         payload: Dict[str, Any] = {
             "kind": "task",
             "schema_version": QUEUE_SCHEMA_VERSION,
-            "experiment": entry.experiment,
-            "protocol": entry.protocol,
+            "experiment": sup.label,
+            "entries": [
+                [entry.protocol, runner_params_to_jsonable(entry.runner_params)]
+                for entry in sup.entries
+            ],
             "network": sup.network_json,
-            "runner_params": runner_params_to_jsonable(entry.runner_params),
             "base_seed": sup.base_seed,
-            "chunks": [list(s.indices) for s in pending],
+            "chunks": [_cells_to_jsonable(s.cells) for s in pending],
             "chaos": chaos_to_jsonable(sup.chaos),
         }
         task_id = self.queue.publish_task(payload)
@@ -614,12 +631,12 @@ class DistributedChunkExecutor(ChunkExecutor):
             results_json = done.get("results")
             if (
                 isinstance(results_json, list)
-                and list(done.get("trials") or []) == list(state.indices)
+                and done.get("cells") == _cells_to_jsonable(state.cells)
             ):
-                results: List[DiscoveryResult] = [
-                    result_from_dict(r) for r in results_json
-                ]
-                sup.record_success(state, [results])
+                sup.record_success(
+                    state,
+                    [[result_from_dict(r) for r in rs] for rs in results_json],
+                )
             else:
                 # A resultless marker for a still-pending chunk can only
                 # be stale leftovers (e.g. re-published campaign whose
@@ -727,53 +744,27 @@ class DistributedChunkExecutor(ChunkExecutor):
             )
         if not self.queue.claim(task_id, chunk_no, self._local_id, state.attempt):
             return False  # raced a worker that just arrived — even better
-        if sup.chaos is not None and sup.chaos.times_out(
-            state.indices, state.attempt
-        ):
-            self.queue.release(task_id, chunk_no)
-            sup.handle_failure(
-                state,
-                concurrent.futures.TimeoutError("chaos: injected chunk timeout"),
-                timed_out=True,
-            )
-            self._settle(task_id, chunk_no, state)
-            return True
         try:
-            results = sup.run_local(state)
-        except Exception as exc:
+            # The bottom rung retries inline, under this lease, until the
+            # chunk completes or is quarantined.
+            InProcessChunkExecutor().run([state], sup)
+        finally:
             self.queue.release(task_id, chunk_no)
-            sup.handle_failure(state, exc, timed_out=False)
-            self._settle(task_id, chunk_no, state)
-            return True
-        sup.record_success(state, results)
-        self.queue.write_marker(
-            task_id,
-            chunk_no,
-            "done",
-            {
-                "kind": "done",
-                "chunk": chunk_no,
-                "attempt": state.attempt,
-                "worker": self._local_id,
-                "resolved": "local",
-            },
-        )
-        self.queue.release(task_id, chunk_no)
+        self._settle(task_id, chunk_no, state)
         return True
 
     def _settle(self, task_id: str, chunk_no: int, state: _ChunkState) -> None:
-        """Publish the post-failure verdict so workers act on it."""
+        """Publish a chunk's verdict, once its lease is gone, for workers."""
         if state.done:
-            # Resolved locally (isolation or quarantine): results — if
-            # any — already live in the outcome/journal; the marker only
-            # stops workers from re-claiming the chunk.
+            # Resolved locally (run in-process, isolated or quarantined):
+            # results — if any — already live in the outcome/journal; the
+            # marker only stops workers from re-claiming the chunk.
             self.queue.write_marker(
                 task_id,
                 chunk_no,
                 "done",
                 {"kind": "done", "chunk": chunk_no, "resolved": "local"},
             )
-            self.queue.release(task_id, chunk_no)
         else:
             self.queue.write_marker(
                 task_id,

@@ -36,9 +36,10 @@ class RetryPolicy:
         max_delay: Cap on any single delay.
         jitter: Multiplicative jitter span: the delay is scaled by a
             seeded uniform draw from ``[1, 1 + jitter]`` (0 disables).
-        max_total_retries: Campaign-wide retry budget across all chunks;
-            exceeding it aborts the campaign — a systemic failure is not
-            something per-chunk retries should paper over.
+        max_total_retries: Retry budget across all chunks of a trial
+            group (every spec on one network); exceeding it aborts the
+            campaign — a systemic failure is not something per-chunk
+            retries should paper over.
         pool_downgrade_after: Worker-pool breakages (hard worker
             crashes) tolerated before the supervisor degrades the
             campaign to in-process execution.

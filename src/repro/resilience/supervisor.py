@@ -112,11 +112,13 @@ def run_trial_group(
     """Run a group of spec points on one network; one outcome per entry.
 
     The entries' trial axes are chunked jointly and every chunk advances
-    all of them in one grid pass. A work queue carries one spec point
-    per task, so distributed groups have exactly one entry, and its
-    workers re-derive trial seeds from ``base_seed``, which must
-    therefore be an integer. The execution options mean what they mean
-    for :func:`run_supervised_trials`, except:
+    all of them in one grid pass (entries the grid kernel cannot take
+    run trial by trial inside it). A work queue task carries the whole
+    group; its workers re-derive trial seeds from ``base_seed``, which
+    must therefore be an integer. ``policy.max_total_retries`` and the
+    pool-breakage count are per group, so they span every entry. The
+    execution options mean what they mean for
+    :func:`run_supervised_trials`, except:
 
     Args:
         label: The group's name in error messages, logs and the backoff
@@ -130,7 +132,7 @@ def run_trial_group(
     Raises:
         ConfigurationError: No entries, a non-positive trial count,
             ``backend="distributed"`` without a ``queue_dir``, or a work
-            queue given several entries or ``base_seed=None``.
+            queue given ``base_seed=None``.
         TrialExecutionError: Under the fail-fast policy, the first
             failing chunk; otherwise, the retry budget ran out.
         TrialQuarantinedError: A trial exhausted its retries and the
@@ -155,11 +157,6 @@ def run_trial_group(
         raise ConfigurationError(
             "backend 'distributed' needs a shared queue directory "
             "(queue_dir= / --queue)"
-        )
-    if distributed and len(entries) > 1:
-        raise ConfigurationError(
-            "a work queue task carries one spec point; got a group of "
-            f"{len(entries)} entries"
         )
     if distributed and base_seed is None:
         raise ConfigurationError(

@@ -15,17 +15,17 @@ file — ``m2hew verify-archive`` checks all of it.
 
 Every campaign runs through one dispatch path, the supervisor's chunk
 executors (:func:`~repro.resilience.supervisor.run_trial_group`), one
-group of same-network specs at a time: grid-eligible specs that realize
-the same network fuse into one group, whose chunks advance every spec
-in one grid pass. Without a retry policy it fails fast on the first
-failing trial chunk. With one (``retry``, or implied by
-``checkpoint_dir``, ``chaos`` or a work queue) failing chunks are
-retried with seeded backoff, trials that exhaust their budget are
-quarantined into the manifest with replay seeds instead of aborting the
-campaign, and completed trials are journaled so an interrupted campaign
-resumes where it stopped. The archived bytes of a supervised campaign
-that recovered are identical to those of one that ran clean — see
-:mod:`repro.resilience`.
+trial group per network at a time: the specs that realize the same
+network share one group, whose chunks advance every spec in one grid
+pass (the runner runs the specs the grid cannot take trial by trial).
+Without a retry policy it fails fast on the first failing trial chunk.
+With one (``retry``, or implied by ``checkpoint_dir``, ``chaos`` or a
+work queue) failing chunks are retried with seeded backoff, trials that
+exhaust their budget are quarantined into the manifest with replay
+seeds instead of aborting the campaign, and completed trials are
+journaled so an interrupted campaign resumes where it stopped. The
+archived bytes of a supervised campaign that recovered are identical to
+those of one that ran clean — see :mod:`repro.resilience`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from ..resilience.verify import ARCHIVE_SCHEMA_VERSION
 from ..workloads.generator import WorkloadConfig, generate_network
 from ..core.registry import ASYNCHRONOUS_PROTOCOLS
 from .results import DiscoveryResult
-from .runner import SYNC_PROTOCOLS, grid_batchable
+from .runner import SYNC_PROTOCOLS
 
 if TYPE_CHECKING:  # import cycle: resilience.supervisor dispatches via sim
     from ..resilience.supervisor import QuarantinedTrial, SupervisorEvent
@@ -82,7 +82,7 @@ class ExperimentSpec:
             (asynchronous).
         trials: Seeded trials to run.
         network_seed: Seed for realizing the workload (one instance per
-            experiment; per-trial randomness varies only the protocol).
+            distinct network; per-trial randomness varies only the protocol).
         runner_params: Extra keyword arguments for
             :func:`~repro.sim.runner.run_synchronous` /
             :func:`~repro.sim.runner.run_asynchronous` (budgets,
@@ -191,24 +191,16 @@ def batch_fingerprint(
     )
 
 
-def _grid_groups(specs: Sequence[ExperimentSpec]) -> List[List[int]]:
-    """Spec-index groups fusable into one grid pass, in first-seen order.
-
-    Two experiments fuse when they realize the *same network* (identical
-    workload recipe and network seed) and both are grid-eligible
-    (:func:`~repro.sim.runner.grid_batchable`). A spec left alone runs
-    as its own group anyway, so only groups of two or more are returned.
-    """
+def _network_groups(specs: Sequence[ExperimentSpec]) -> List[List[int]]:
+    """Spec indices grouped by workload recipe and network seed, in order."""
     groups: Dict[str, List[int]] = {}
     for i, spec in enumerate(specs):
-        if not grid_batchable(spec.protocol, spec.runner_params):
-            continue
         key = json.dumps(
             {"workload": spec.workload.describe(), "seed": spec.network_seed},
             sort_keys=True,
         )
         groups.setdefault(key, []).append(i)
-    return [indices for indices in groups.values() if len(indices) >= 2]
+    return list(groups.values())
 
 
 def _run_group(
@@ -323,15 +315,15 @@ def run_batch(
             recorded in the manifest.
         backend: ``auto`` (default), ``serial``, ``process`` or
             ``vectorized`` (a serial plan runs each group as one chunk;
-            see :data:`~repro.sim.parallel.BACKENDS`). Under each of
-            them grid-eligible experiments that share a workload recipe
-            and network seed fuse into parameter-grid chunks
-            (:class:`~repro.sim.batched.GridBatchedSimulator`) — one
-            kernel pass advances every spec point, still byte-identical
-            to per-spec execution, under every retry, checkpoint and
-            chaos setting. ``distributed`` (with ``queue_dir``) shards
-            chunks across ``m2hew worker`` processes instead, one spec
-            point per task, so it never fuses.
+            see :data:`~repro.sim.parallel.BACKENDS`), or
+            ``distributed`` (with ``queue_dir``; chunks run on ``m2hew
+            worker`` processes). Under each of them experiments that
+            share a workload recipe and network seed run as one trial
+            group on one realized network, fused into parameter-grid
+            chunks (:class:`~repro.sim.batched.GridBatchedSimulator`) —
+            still byte-identical to per-spec execution, under every
+            retry, checkpoint and chaos setting. The group's retry
+            budget and pool-breakage count span all of its specs.
         chunk_size: Trials per dispatch unit (default: per trial index
             when serial, every trial under ``vectorized``, auto when
             pooled).
@@ -356,7 +348,8 @@ def run_batch(
         on_progress: Optional observer called with ``(experiment name,
             trials completed, trials total)`` as each experiment
             advances (per collected chunk — per trial index on a
-            default serial run — always in dispatch order). Purely
+            default serial run, so a network's experiments interleave
+            — always in dispatch order). Purely
             observational and never recorded, so passing it cannot
             change archived bytes; an exception it raises aborts the
             campaign (cooperative cancellation).
@@ -379,14 +372,8 @@ def run_batch(
         or backend == "distributed"
     ):
         retry = RetryPolicy()  # resuming, drills and sharding imply recovery
-    # Same-network grid-eligible specs fuse into one group; a work queue
-    # task carries one spec point, so sharded campaigns never fuse.
-    fused = _grid_groups(specs) if queue_dir is None else []
-    grouped = {i for group in fused for i in group}
-    groups = sorted(fused + [[i] for i in range(len(specs)) if i not in grouped])
-
     outcomes: Dict[int, BatchOutcome] = {}
-    for group in groups:
+    for group in _network_groups(specs):
         for i, outcome in zip(
             group,
             _run_group(

@@ -452,9 +452,10 @@ def grid_batchable(
     """Whether one spec point is eligible for the batched/grid kernel.
 
     A protocol the registry marks ``vectorized``, on the fast/auto
-    engine, with only :data:`_BATCHABLE_PARAMS` parameters. Exposed so
-    campaign layers can decide *before* dispatch whether spec points
-    may fuse into one grid.
+    engine, with only :data:`_BATCHABLE_PARAMS` parameters.
+    :func:`run_experiment_grid_batched` is the one place that asks:
+    campaign layers group specs by network alone and leave this
+    decision to the chunk.
     """
     params = dict(runner_params or {})
     return (

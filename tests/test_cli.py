@@ -9,6 +9,20 @@ import pytest
 
 import repro.cli as cli_module
 from repro.cli import build_parser, main
+from repro.exceptions import ConfigurationError
+from repro.sim.batched import GridBatchedSimulator
+
+
+COMPARE_RURAL_SPARSE_SEED4 = """\
+rural_sparse: protocol comparison (delta_est=4, 3 trials)
+       protocol  completed  mean_slots  p90_slots  max_slots
+---------------  ---------  ----------  ---------  ---------
+     algorithm1        3/3      43.700     48.400         49
+     algorithm2        3/3      59.700     64.800         66
+     algorithm3        3/3      43.700     48.400         49
+          mcdis        3/3      85.700         96         99
+universal_sweep        3/3          28     31.800         32
+"""
 
 
 class TestParser:
@@ -164,6 +178,47 @@ class TestParser:
     def test_compare_rejects_unknown_protocol(self):
         with pytest.raises(SystemExit):
             main(["compare", "rural_sparse", "--protocols", "warp_drive"])
+
+    def test_compare_table_pinned(self, capsys):
+        # Recorded from the per-protocol trial loop compare ran before it
+        # went through run_batch; the campaign path must print it byte
+        # for byte.
+        code = main(
+            [
+                "compare",
+                "rural_sparse",
+                "--trials", "3",
+                "--seed", "4",
+                "--protocols",
+                "algorithm1", "algorithm2", "algorithm3", "mcdis", "universal_sweep",
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == COMPARE_RURAL_SPARSE_SEED4
+
+    def test_compare_runs_one_grid_pass_per_trial_index(self, monkeypatch, capsys):
+        rows = []
+        real_run = GridBatchedSimulator.run
+
+        def counted(self, stopping):
+            rows.append(self.batch_size)
+            return real_run(self, stopping)
+
+        monkeypatch.setattr(GridBatchedSimulator, "run", counted)
+        code = main(
+            [
+                "compare",
+                "rural_sparse",
+                "--trials", "3",
+                "--protocols", "algorithm1", "algorithm2", "algorithm3",
+            ]
+        )
+        assert code == 0
+        assert rows == [3, 3, 3]
+
+    def test_compare_rejects_repeated_protocol(self):
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            main(["compare", "rural_sparse", "--protocols", "algorithm1", "algorithm1"])
 
     def test_terminate_sleep_policy(self, capsys):
         code = main(

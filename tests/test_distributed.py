@@ -15,6 +15,7 @@ test needs lease TTLs to elapse — advances a fake monotonic clock that
 
 from __future__ import annotations
 
+import functools
 import json
 import shutil
 import threading
@@ -24,9 +25,11 @@ from pathlib import Path
 import pytest
 
 import repro.resilience.distributed as distributed_module
+import repro.resilience.supervisor as supervisor_module
 from repro.exceptions import ConfigurationError
 from repro.net.serialization import network_to_json
 from repro.resilience import (
+    QUEUE_SCHEMA_VERSION,
     GroupEntry,
     LeasePolicy,
     QueueWorker,
@@ -42,6 +45,7 @@ from repro.resilience import (
 from repro.sim.batch import ExperimentSpec, run_batch
 from repro.sim.parallel import run_spec_trials
 from repro.workloads.generator import WorkloadConfig, generate_network
+from tests.archives import experiment_files, solo_archives
 
 PARAMS = {"delta_est": 4, "max_slots": 30_000}
 FAST_RETRY = RetryPolicy(base_delay=0.0, jitter=0.0)
@@ -74,6 +78,16 @@ def reference(network):
 
 def _dicts(outcome):
     return [r.to_dict() for _, r in outcome.results_in_order()]
+
+
+def bare_task(chunks):
+    """The smallest task the queue's bookkeeping accepts."""
+    return {
+        "kind": "task",
+        "schema_version": QUEUE_SCHEMA_VERSION,
+        "experiment": "e",
+        "chunks": chunks,
+    }
 
 
 class FakeClock:
@@ -193,9 +207,7 @@ class TestWorkQueue:
 
     def test_claim_is_exclusive(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        task_id = queue.publish_task(
-            {"kind": "task", "schema_version": 1, "experiment": "e", "chunks": [[0]]}
-        )
+        task_id = queue.publish_task(bare_task([[0]]))
         assert queue.claim(task_id, 0, "a", 0)
         assert not queue.claim(task_id, 0, "b", 0)
         queue.release(task_id, 0)
@@ -205,35 +217,35 @@ class TestWorkQueue:
         # A lease file torn mid-write still blocks rival claims (the
         # O_EXCL create already happened) but reads as absent.
         queue = WorkQueue(tmp_path)
-        task_id = queue.publish_task(
-            {"kind": "task", "schema_version": 1, "experiment": "e", "chunks": [[0]]}
-        )
+        task_id = queue.publish_task(bare_task([[0]]))
         queue.marker_path(task_id, 0, "lease").write_text('{"kind": "lea')
         assert queue.read_marker(task_id, 0, "lease") is None
         assert not queue.claim(task_id, 0, "b", 0)
 
     def test_publish_is_idempotent_and_retracts_stale(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        old = queue.publish_task(
-            {"kind": "task", "schema_version": 1, "experiment": "e", "chunks": [[0]]}
-        )
+        old = queue.publish_task(bare_task([[0]]))
         assert queue.write_marker(old, 0, "done", {"kind": "done"})
-        same = queue.publish_task(
-            {"kind": "task", "schema_version": 1, "experiment": "e", "chunks": [[0]]}
-        )
+        same = queue.publish_task(bare_task([[0]]))
         assert same == old  # identical payload reuses the task + markers
         assert queue.read_marker(old, 0, "done") is not None
-        fresh = queue.publish_task(
-            {"kind": "task", "schema_version": 1, "experiment": "e", "chunks": [[0], [1]]}
-        )
+        fresh = queue.publish_task(bare_task([[0], [1]]))
         assert fresh != old
         assert queue.list_tasks() == [fresh]  # stale same-experiment gone
 
+    def test_long_group_label_fits_a_file_name(self, tmp_path):
+        # A group label joins every spec name; a campaign of every
+        # protocol on one scenario would overflow a 255-byte file name.
+        queue = WorkQueue(tmp_path)
+        label = " + ".join(f"adversarial_heterogeneous_protocol{i}" for i in range(9))
+        task_id = queue.publish_task({**bare_task([[0]]), "experiment": label})
+        assert len(queue.task_path(task_id).name) < 100
+        assert queue.read_task(task_id)["experiment"] == label
+        assert queue.claim(task_id, 0, "a", 0)
+
     def test_marker_write_refused_after_retract(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        task_id = queue.publish_task(
-            {"kind": "task", "schema_version": 1, "experiment": "e", "chunks": [[0]]}
-        )
+        task_id = queue.publish_task(bare_task([[0]]))
         queue.retract_task(task_id)
         assert not queue.write_marker(task_id, 0, "done", {"kind": "done"})
         assert not queue.state_dir(task_id).exists()
@@ -248,13 +260,12 @@ class TestWorkQueue:
         queue = WorkQueue(tmp_path)
         task = {
             "kind": "task",
-            "schema_version": 1,
+            "schema_version": QUEUE_SCHEMA_VERSION,
             "experiment": "e",
-            "protocol": "algorithm1",
+            "entries": [["algorithm1", PARAMS]],
             "network": network_to_json(network),
-            "runner_params": PARAMS,
             "base_seed": 7,
-            "chunks": [[0]],
+            "chunks": [[[0, [0]]]],
             "chaos": None,
         }
         task_id = queue.publish_task(task)
@@ -296,14 +307,54 @@ class TestDistributedSupervised:
                 backend="distributed",
             )
 
-    def test_queue_takes_one_entry_per_group(self, network, tmp_path):
-        entries = [
-            GroupEntry("a", "algorithm1", 2, PARAMS),
-            GroupEntry("b", "algorithm3", 2, PARAMS),
+    def test_queue_runs_a_whole_group_like_solo_runs(self, tmp_path, monkeypatch):
+        # One task carries every spec point on the network: the workers
+        # run algorithm1 and algorithm3 in one grid pass and mcdis and
+        # algorithm4 trial by trial inside the same chunk. Every archived
+        # experiment must equal the file of that spec run alone.
+        specs = [
+            ExperimentSpec(
+                name=f"clique_{protocol}",
+                workload=small_workload(),
+                protocol=protocol,
+                trials=3,
+                runner_params=params,
+            )
+            for protocol, params in (
+                ("algorithm1", PARAMS),
+                ("algorithm3", PARAMS),
+                ("mcdis", {"max_slots": 30_000, "delta_est": None}),
+                ("algorithm4", {"delta_est": 4, "max_frames_per_node": 2_000}),
+            )
         ]
-        with pytest.raises(ConfigurationError, match="one spec point"):
-            run_trial_group(network, entries, base_seed=7, queue_dir=tmp_path)
-        assert not list(tmp_path.iterdir())  # nothing was published
+        alone = solo_archives(specs, 7, tmp_path / "alone")
+        queue = WorkQueue(tmp_path / "queue")
+        task_entries = []
+        alpha, beta = start_workers(
+            queue,
+            "alpha",
+            "beta",
+            on_claimed=lambda task_id, _chunk: task_entries.append(
+                len(queue.read_task(task_id)["entries"])
+            ),
+        )
+        monkeypatch.setattr(
+            supervisor_module,
+            "run_trial_group",
+            functools.partial(
+                supervisor_module.run_trial_group, sleep=WorkerPump([alpha, beta])
+            ),
+        )
+        run_batch(
+            specs,
+            base_seed=7,
+            output_dir=tmp_path / "sharded",
+            chunk_size=2,
+            queue_dir=tmp_path / "queue",
+            lease=FAST_LEASE,
+        )
+        assert task_entries == [4, 4]  # one task, two chunks, all on workers
+        assert experiment_files(tmp_path / "sharded") == alone
 
     def test_queue_needs_integer_base_seed(self, network, tmp_path):
         # Workers re-derive seeds from the task's base seed; None would
@@ -527,6 +578,74 @@ class TestDistributedSupervised:
             for e in outcome.events
         )
         assert _dicts(outcome) == reference
+
+    def test_same_label_coordinators_both_finish(self, network, tmp_path):
+        # Two campaigns that differ only in base seed share a task label
+        # (experiment names do not carry seeds). Publishing one must not
+        # retract the other's task, or its coordinator polls forever.
+        queue = WorkQueue(tmp_path)
+        lease = LeasePolicy(lease_ttl=5.0, heartbeat_interval=0.2, poll_interval=0.02)
+        worker_ids = ["thread-0", "thread-1"]
+        for worker_id in worker_ids:  # live before any task is published
+            QueueWorker(queue, worker_id).heartbeat()
+        outcomes, errors = {}, []
+
+        def coordinate(base_seed):
+            try:
+                outcomes[base_seed] = run_supervised_trials(
+                    network,
+                    "algorithm1",
+                    trials=4,
+                    base_seed=base_seed,
+                    runner_params=PARAMS,
+                    chunk_size=1,
+                    experiment="clique_algorithm1",
+                    queue_dir=tmp_path,
+                    lease=lease,
+                )
+            except Exception as exc:  # surfaced by the assertions below
+                errors.append(exc)
+
+        def published(base_seed):
+            tasks = [queue.read_task(t) for t in queue.list_tasks()]
+            return any(t is not None and t["base_seed"] == base_seed for t in tasks)
+
+        coordinators = []
+        for base_seed in (7, 8):
+            thread = threading.Thread(target=coordinate, args=(base_seed,), daemon=True)
+            thread.start()
+            coordinators.append(thread)
+            deadline = time.monotonic() + 10
+            while not published(base_seed) and time.monotonic() < deadline:
+                time.sleep(0.01)
+        workers = [
+            threading.Thread(
+                target=run_worker,
+                args=(tmp_path,),
+                kwargs=dict(
+                    worker_id=worker_id,
+                    lease=lease,
+                    idle_exit=1.5,
+                    hard_exit=False,
+                    sleep=time.sleep,
+                ),
+                daemon=True,
+            )
+            for worker_id in worker_ids
+        ]
+        for thread in workers:
+            thread.start()
+        for thread in coordinators:
+            thread.join(timeout=30)
+        for thread in workers:
+            thread.join(timeout=30)
+        assert not errors
+        assert not any(thread.is_alive() for thread in coordinators + workers)
+        for base_seed in (7, 8):
+            serial = run_spec_trials(
+                network, "algorithm1", trials=4, base_seed=base_seed, runner_params=PARAMS
+            )
+            assert _dicts(outcomes[base_seed]) == [r.to_dict() for r in serial]
 
     def test_unserializable_runner_param_rejected(self, network, tmp_path):
         with pytest.raises(ConfigurationError, match="JSON-serializable"):

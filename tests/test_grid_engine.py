@@ -14,10 +14,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.sim.batch as batch_module
 from repro.exceptions import ConfigurationError
 from repro.faults.presets import fault_preset
 from repro.net import build_network, channels, topology
-from repro.sim.batch import ExperimentSpec, _grid_groups, run_batch
+from repro.service.campaigns import CampaignRequest, campaign_specs
+from repro.sim.batch import ExperimentSpec, _network_groups, run_batch
 from repro.sim.batched import GridBatchedSimulator, GridCell
 from repro.sim.fast_slotted import FastSlottedSimulator
 from repro.sim.parallel import run_grid_spec_trials, run_spec_trials
@@ -529,9 +531,10 @@ class TestBatchGridFusion:
             trials=2,
             runner_params={"max_slots": 5_000, "delta_est": None},
         )
-        assert _grid_groups(specs) == [[0, 1, 2]]
-        assert _grid_groups([specs[0], rival, *specs[1:]]) == [[0, 2, 3]]
-        assert _grid_groups(specs[:1]) == []
+        assert _network_groups(specs) == [[0, 1, 2]]
+        # The runner, not the grouping, decides what the grid kernel takes.
+        assert _network_groups([specs[0], rival, *specs[1:]]) == [[0, 1, 2, 3]]
+        assert _network_groups(specs[:1]) == [[0]]
 
     def test_network_seed_splits_groups(self):
         specs = self._specs()
@@ -543,7 +546,28 @@ class TestBatchGridFusion:
             network_seed=9,
             runner_params={"max_slots": 5_000, "delta_est": None},
         )
-        assert _grid_groups([*specs, moved]) == [[0, 1, 2]]
+        assert _network_groups([*specs, moved]) == [[0, 1, 2], [3]]
+
+    def test_network_realized_once_per_network(self, monkeypatch):
+        # Grid-eligible and ineligible specs on one network form one
+        # group, which realizes the network once for all of them.
+        specs = campaign_specs(
+            CampaignRequest(
+                scenario="rural_sparse",
+                protocols=("algorithm1", "algorithm3", "mcdis", "algorithm4"),
+                trials=1,
+            )
+        )
+        calls = []
+        real = batch_module.generate_network
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "generate_network", counted)
+        run_batch(specs, base_seed=3)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("chunk_size", [1, 4, 32])
     def test_archives_byte_identical_to_serial(self, tmp_path, chunk_size):

@@ -1,13 +1,14 @@
 """Property: a fused campaign archives every experiment as if it ran alone.
 
-``run_batch`` fuses grid-eligible specs that realize the same network
-into one trial group, whose chunks advance every spec in one grid pass.
-Hypothesis draws such spec sets — 2–4 vectorized protocols (robust
-variants included), sometimes with an ineligible ``mcdis`` spec on the
-same network, random start offsets, erasure and a synchronous fault
-preset — plus the chunking and retry policy, and checks that each
-``<experiment>.json`` of the fused archive equals, byte for byte, the
-file a campaign of that spec alone writes.
+``run_batch`` runs every spec that realizes the same network as one
+trial group, whose chunks advance the grid-eligible specs in one grid
+pass and run the others trial by trial. Hypothesis draws such spec sets
+— 2–4 vectorized protocols (robust variants included), sometimes with
+an ineligible ``mcdis`` spec or an asynchronous ``algorithm4`` spec
+with a small frame budget on the same network, random start offsets,
+erasure and a synchronous fault preset — plus the chunking and retry
+policy, and checks that each ``<experiment>.json`` of the fused archive
+equals, byte for byte, the file a campaign of that spec alone writes.
 """
 
 from __future__ import annotations
@@ -79,6 +80,16 @@ def same_network_campaigns(draw):
             runner_params={"max_slots": 500, "delta_est": None},
         )
         specs.insert(draw(st.integers(0, len(specs))), rival)
+    if draw(st.booleans()):
+        asynchronous = ExperimentSpec(
+            name="async_algorithm4",
+            workload=workload,
+            protocol="algorithm4",
+            trials=draw(st.integers(1, 3)),
+            network_seed=network_seed,
+            runner_params={"delta_est": nodes, "max_frames_per_node": 40},
+        )
+        specs.insert(draw(st.integers(0, len(specs))), asynchronous)
     return specs
 
 
