@@ -2,8 +2,8 @@
 
 Times a 16-trial fixed-horizon campaign (so every trial costs the same
 CPU) two ways at N ∈ {50, 200, 500, 1000}: a serial loop of
-``FastSlottedSimulator`` runs versus one ``BatchedSlottedSimulator``
-batch, verifies the per-trial results are identical objects, and
+``FastSlottedSimulator`` runs versus one ``GridBatchedSimulator``
+cell of 16 rows, verifies the per-trial results are identical objects, and
 records slots/sec plus the wall-clock ratio in ``BENCH_batched.json``
 at the repo root. The N=200 and N=500 rows are the headline numbers CI
 smokes against (the batched engine must beat the serial loop by a wide
@@ -23,8 +23,8 @@ loop; doubling B should approach 2× throughput until per-slot numpy
 work dominates).
 
 Both sides run the same slot loop: ``FastSlottedSimulator`` is the
-one-row form of the grid engine that ``BatchedSlottedSimulator`` runs
-with all of its rows, so every row measures batching gain alone (the
+one-row form of the grid engine that the batched side runs with all of
+its rows, so every row measures batching gain alone (the
 serial side also pays one engine construction per trial). Until the
 serial engine's dense (C, N, N) kernel was deleted, the N=50 and N=200
 rows also folded in the gap between the two kernels; the serial side
@@ -46,7 +46,7 @@ import pytest
 
 from _helpers import emit_bench_record, emit_table
 from repro.net import build_network, channels, topology
-from repro.sim.batched import BatchedSlottedSimulator
+from repro.sim.batched import GridBatchedSimulator, GridCell
 from repro.sim.fast_slotted import FastSlottedSimulator
 from repro.sim.rng import RngFactory, derive_trial_seed
 from repro.sim.runner import _vector_schedule
@@ -105,7 +105,7 @@ def _batched_campaign(net, schedule, stopping, trials: int):
         factories = [
             RngFactory(derive_trial_seed(BASE_SEED, i)) for i in range(trials)
         ]
-        sim = BatchedSlottedSimulator(net, schedule, factories)
+        sim = GridBatchedSimulator(net, [GridCell(schedule, factories)])
         t0 = time.perf_counter()
         results = sim.run(stopping)
         best = min(best, time.perf_counter() - t0)

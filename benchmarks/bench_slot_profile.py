@@ -3,7 +3,7 @@
 Runs the N=500 campaign from ``bench_batched.py`` twice with
 ``profile=True`` — serially, one ``FastSlottedSimulator`` (the grid
 engine's one-row form) per trial, and as one 16-row
-``BatchedSlottedSimulator`` — and records each shape's per-phase
+``GridBatchedSimulator`` cell — and records each shape's per-phase
 breakdown (``schedule`` / ``rng`` / ``channel`` / ``reception`` /
 ``delivery`` / ``result`` — seconds, lap count, share of total) in
 ``BENCH_slot_profile.json`` at the repo root. This is the regression
@@ -30,7 +30,7 @@ import pytest
 
 from _helpers import emit_bench_record, emit_table
 from bench_batched import BASE_SEED, PROTOCOL, TRIALS, _network
-from repro.sim.batched import BatchedSlottedSimulator
+from repro.sim.batched import GridBatchedSimulator, GridCell
 from repro.sim.fast_slotted import FastSlottedSimulator
 from repro.sim.profile import PHASES
 from repro.sim.rng import RngFactory, derive_trial_seed
@@ -65,8 +65,8 @@ def _profiled_runs():
         serial_results.append(sim.run(stopping))
         serial_profiles.append(sim.profile())
 
-    batched = BatchedSlottedSimulator(
-        net, schedule, _factories(), profile=True
+    batched = GridBatchedSimulator(
+        net, [GridCell(schedule, _factories())], profile=True
     )
     batched_results = batched.run(stopping)
     batched_profile = batched.profile()
@@ -116,8 +116,8 @@ def run_experiment() -> dict:
         FastSlottedSimulator(net, schedule, factory).run(stopping)
         for factory in _factories()
     ]
-    plain_batched = BatchedSlottedSimulator(
-        net, schedule, _factories()
+    plain_batched = GridBatchedSimulator(
+        net, [GridCell(schedule, _factories())]
     ).run(stopping)
 
     record = {

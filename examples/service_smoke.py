@@ -13,7 +13,12 @@ real HTTP (stdlib ``urllib`` only):
 4. submit a longer campaign, SIGKILL the server after the first
    progress event, restart it on the same data directory, and assert
    the requeued job completes with trials restored from its checkpoint
-   journal — and that the archive still byte-matches a direct run.
+   journal — and that the archive still byte-matches a direct run;
+5. on a server whose store holds one archive (``--store-max-archives
+   1``), submit campaign A then campaign B and assert A was evicted;
+   flip one byte of B's stored archive and assert its ``/result`` is
+   refused (HTTP 500, job ``failed``); resubmit A and assert it
+   recomputes to the direct run's bytes.
 
 Run:  python examples/service_smoke.py
 """
@@ -88,8 +93,9 @@ def verify_direct_archive(archive: Path) -> None:
 class Server:
     """One ``m2hew serve`` subprocess with stdout-based port discovery."""
 
-    def __init__(self, data_dir: Path) -> None:
+    def __init__(self, data_dir: Path, *extra_args: str) -> None:
         self.data_dir = data_dir
+        self.extra_args = extra_args
         self.proc: Optional["subprocess.Popen[str]"] = None
         self.base_url = ""
         self._lines: "queue.Queue[str]" = queue.Queue()
@@ -104,6 +110,7 @@ class Server:
                 "0",
                 "--data-dir",
                 str(self.data_dir),
+                *self.extra_args,
             ),
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -169,14 +176,25 @@ def http_bytes(url: str) -> bytes:
     return body
 
 
-def campaign_payload(trials: int) -> Dict[str, Any]:
+def campaign_payload(trials: int, base_seed: int = 0) -> Dict[str, Any]:
     return {
         "scenario": SCENARIO,
         "protocols": [PROTOCOL],
         "trials": trials,
+        "base_seed": base_seed,
         "max_slots": MAX_SLOTS,
         "client": "smoke",
     }
+
+
+def submit_and_finish(base_url: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Submit a campaign the store cannot answer; return the done job."""
+    status, submitted = http_json("POST", f"{base_url}/campaigns", payload)
+    assert status == 202, submitted
+    assert submitted["cache_hit"] is False, submitted
+    done = wait_for_state(base_url, submitted["job"]["job_id"], "done")
+    assert done["cached"] is False, done
+    return done
 
 
 def wait_for_state(base_url: str, job_id: str, wanted: str) -> Dict[str, Any]:
@@ -228,6 +246,7 @@ def main() -> None:
     work = Path(tempfile.mkdtemp(prefix="m2hew-service-smoke-"))
     server = Server(work / "data")
     restarted: Optional[Server] = None
+    capped = Server(work / "capped", "--store-max-archives", "1")
     try:
         print("== direct reference run ==")
         direct_quick = work / "direct_quick"
@@ -283,11 +302,43 @@ def main() -> None:
         run_direct_batch(direct_long, LONG_TRIALS)
         assert_served_matches_direct(restarted.base_url, long_id, direct_long)
 
-        print("\nOK: dedup, byte-identity, and kill+resume all hold.")
+        print("== capped store: evict by recency, never serve corrupt bytes ==")
+        capped.start()
+        print(f"  serving at {capped.base_url} with --store-max-archives 1")
+        store = capped.data_dir / "store"
+        job_a = submit_and_finish(capped.base_url, campaign_payload(QUICK_TRIALS))
+        job_b = submit_and_finish(
+            capped.base_url, campaign_payload(QUICK_TRIALS, base_seed=1)
+        )
+        assert not (store / job_a["fingerprint"]).exists(), "A was not evicted"
+        print(f"  {job_a['job_id']} evicted once {job_b['job_id']} finished")
+
+        stored = store / job_b["fingerprint"] / f"{SCENARIO}_{PROTOCOL}.json"
+        damaged = bytearray(stored.read_bytes())
+        damaged[10] ^= 0xFF
+        stored.write_bytes(bytes(damaged))
+        status, refused = http_json(
+            "GET", f"{capped.base_url}/campaigns/{job_b['job_id']}/result"
+        )
+        assert status == 500, (status, refused)
+        status, body = http_json(
+            "GET", f"{capped.base_url}/campaigns/{job_b['job_id']}"
+        )
+        assert status == 200 and body["job"]["state"] == "failed", body
+        print(f"  corrupt {job_b['job_id']} refused with 500, job failed")
+
+        again_a = submit_and_finish(capped.base_url, campaign_payload(QUICK_TRIALS))
+        assert again_a["fingerprint"] == job_a["fingerprint"], again_a
+        assert_served_matches_direct(
+            capped.base_url, again_a["job_id"], direct_quick
+        )
+
+        print("\nOK: dedup, byte-identity, kill+resume and store caps all hold.")
     finally:
         server.stop()
         if restarted is not None:
             restarted.stop()
+        capped.stop()
         shutil.rmtree(work, ignore_errors=True)
 
 

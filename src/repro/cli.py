@@ -57,6 +57,7 @@ from .analysis.tournament import DEFAULT_MAX_SLOTS, DEFAULT_TRIALS
 from .core import bounds
 from .core.registry import ASYNCHRONOUS_PROTOCOLS
 from .core.termination import TerminationPolicy, recommended_quiet_threshold
+from .exceptions import ConfigurationError
 from .faults.plan import FaultPlan
 from .faults.presets import fault_preset_names
 from .resilience.distributed import DISTRIBUTED_BACKEND
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "cap the result store at N archives; least-recently-used "
-            "verified archives are evicted after each job (in-flight "
+            "archives are evicted after each job (in-flight "
             "jobs' archives are never evicted)"
         ),
     )
@@ -892,7 +893,6 @@ def _resolve_resilience(
     args: argparse.Namespace,
 ) -> "tuple[Any, Optional[str], Any]":
     """(retry policy, checkpoint dir, chaos plan) from batch flags."""
-    from .exceptions import ConfigurationError
     from .resilience import RetryPolicy, parse_chaos_spec
 
     retry = None
@@ -1250,8 +1250,20 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    An invalid campaign (:class:`~repro.exceptions.ConfigurationError`)
+    exits 2, argparse's usage code, never ``batch``'s 1 or 3.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigurationError as exc:
+        print(f"m2hew: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "scenarios":
         return _cmd_scenarios()
     if args.command == "info":

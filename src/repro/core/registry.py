@@ -86,6 +86,11 @@ class ProtocolSpec:
                 f"protocol kind must be 'sync' or 'async', got {self.kind!r}"
             )
 
+    @property
+    def reads_network(self) -> bool:
+        """Campaign parameters are read off the realized network."""
+        return self.needs_universal or self.needs_id_space
+
 
 #: The full protocol table: the paper's algorithms, the rival protocols
 #: the tournament races them against, and the §I baselines.

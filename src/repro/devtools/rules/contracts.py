@@ -61,9 +61,9 @@ __all__ = [
     "CliFlagPlumbing",
 ]
 
-#: Engine constructors and the keyword surface each must expose.
-#: ``rng_factories`` (plural) on the batched engine is deliberate — it
-#: takes one factory per trial.
+#: Engine constructors and the keyword surface each must expose. The
+#: grid engine takes its per-cell keywords through ``GridCell``: C606
+#: checks that its fields exist, and no rule pins their defaults.
 ENGINE_CONTRACT: Dict[str, Tuple[str, frozenset]] = {
     "sim.slotted": (
         "SlottedSimulator",
@@ -78,12 +78,6 @@ ENGINE_CONTRACT: Dict[str, Tuple[str, frozenset]] = {
     "sim.async_engine": (
         "AsyncSimulator",
         frozenset({"rng_factory", "erasure_prob", "trace", "faults"}),
-    ),
-    "sim.batched": (
-        "BatchedSlottedSimulator",
-        frozenset(
-            {"rng_factories", "start_offsets", "erasure_prob", "faults"}
-        ),
     ),
 }
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core.registry import ASYNCHRONOUS_PROTOCOLS
+from ..core.registry import ASYNCHRONOUS_PROTOCOLS, protocol_spec
 from ..exceptions import ConfigurationError
 from ..faults.plan import FaultPlan
 from ..faults.presets import fault_preset, fault_preset_names
@@ -178,10 +178,16 @@ def campaign_specs(request: CampaignRequest) -> List[ExperimentSpec]:
     This is the single source of truth for campaign expansion: ``m2hew
     batch`` and the service worker both call it, so for equal parameters
     they hand :func:`~repro.sim.batch.run_batch` equal specs and archive
-    equal bytes.
+    equal bytes. The network is realized here only when a protocol's
+    parameters are read off it (the baselines); ``run_batch`` realizes
+    it for the trials either way.
     """
     scen = scenario(request.scenario)
-    network = scen.build(request.network_seed)
+    network = (
+        scen.build(request.network_seed)
+        if any(protocol_spec(p).reads_network for p in request.protocols)
+        else None
+    )
     delta_est = (
         request.delta_est if request.delta_est is not None else scen.delta_est
     )

@@ -16,10 +16,11 @@ least-recently-used archives are evicted until the caps hold. Recency
 is a monotonic *use counter* journaled in ``.lru-index.json`` (atomic
 writes, torn-file tolerant via
 :func:`~repro.resilience.checkpoint.load_sidecar`), not wall-clock
-mtimes, so recency survives restarts and clock steps. Eviction is
-verified-archive-aware — archives that fail verification are junk and
-go first, regardless of recency — and never touches a protected
-fingerprint (jobs in flight, the archive just produced).
+mtimes, so recency survives restarts and clock steps. Eviction ranks
+by recency alone and reads no archive contents: a corrupt archive is
+caught by :meth:`lookup` or by the service's ``/result`` check, never
+by the eviction pass. Eviction never touches a protected fingerprint
+(jobs in flight, the archive just produced).
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ class ResultStore:
         self.directory = Path(directory)
         self.max_archives = max_archives
         self.max_bytes = max_bytes
-        # The service touches from its event loop (cache hits) and from
-        # the job thread (fresh archives, eviction); every index
-        # read-modify-write holds this lock so none is lost.
+        # The service touches and evicts from its event loop (cache
+        # hits, the post-job eviction pass) and touches from job
+        # threads (fresh archives); every index read-modify-write holds
+        # this lock so none is lost.
         self._index_lock = threading.Lock()
 
     def path_for(self, fingerprint: str) -> Path:
@@ -196,9 +198,8 @@ class ResultStore:
     ) -> List[str]:
         """Evict archives until the configured caps hold.
 
-        Eviction order: unverifiable archives first (they would be
-        discarded on lookup anyway), then verified ones least-recently
-        used first (never-touched archives rank oldest). ``protect``
+        Eviction order: least-recently used first (never-touched
+        archives rank oldest, ties break by fingerprint). ``protect``
         names fingerprints that must survive regardless — the service
         passes every in-flight job's fingerprint plus the archive it
         just finished, so eviction can never pull a directory out from
@@ -211,20 +212,18 @@ class ResultStore:
         index = self._load_index()
         touched = index["touched"]
         assert isinstance(touched, dict)
-        candidates = []  # (corrupt_last, recency, fingerprint, size)
         sizes: Dict[str, int] = {}
         for fingerprint in self.stored_fingerprints():
             sizes[fingerprint] = self._archive_bytes(self.path_for(fingerprint))
-            if fingerprint in protect:
-                continue
-            verified = verify_archive(self.path_for(fingerprint)).ok
-            recency = int(touched.get(fingerprint, 0))
-            candidates.append((1 if verified else 0, recency, fingerprint))
-        candidates.sort()
+        candidates = sorted(
+            (int(touched.get(fingerprint, 0)), fingerprint)
+            for fingerprint in sizes
+            if fingerprint not in protect
+        )
         evicted: List[str] = []
         count = len(sizes)
         total = sum(sizes.values())
-        for _verified, _recency, fingerprint in candidates:
+        for _recency, fingerprint in candidates:
             over_count = self.max_archives is not None and count > self.max_archives
             over_bytes = self.max_bytes is not None and total > self.max_bytes
             if not (over_count or over_bytes):
@@ -234,8 +233,8 @@ class ResultStore:
             count -= 1
             total -= sizes[fingerprint]
         if evicted:
-            # Re-read under the lock: touches that landed while the
-            # archives above were being verified must survive.
+            # Re-read under the lock: touches that job threads made
+            # while this pass sized and removed archives must survive.
             with self._index_lock:
                 index = self._load_index()
                 fresh = index["touched"]

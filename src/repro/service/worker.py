@@ -33,7 +33,6 @@ from typing import Callable, Optional, Union
 
 from ..exceptions import ConfigurationError, JobCancelledError
 from ..resilience.policy import RetryPolicy
-from ..resilience.verify import verify_archive
 from ..sim.batch import batch_fingerprint, run_batch
 from .campaigns import campaign_specs
 from .jobs import CampaignJob
@@ -143,7 +142,7 @@ def execute_job(
         on_progress=observer,
         queue_dir=queue_dir,
     )
-    verify_archive(archive_dir).raise_if_corrupt()
+    store.verify(fingerprint).raise_if_corrupt()
     store.touch(fingerprint)
     # The archive now carries the campaign; the journals were only ever
     # its in-flight state. Dropping them keeps the data dir bounded.

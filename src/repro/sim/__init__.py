@@ -5,7 +5,6 @@ from __future__ import annotations
 from .async_engine import AsyncSimulator
 from .batch import BatchOutcome, ExperimentSpec, run_batch
 from .batched import (
-    BatchedSlottedSimulator,
     FlatSchedule,
     GridBatchedSimulator,
     GridCell,
@@ -54,7 +53,6 @@ from .trace import ExecutionTrace, FrameRecord, SlotRecord
 __all__ = [
     "AsyncSimulator",
     "BatchOutcome",
-    "BatchedSlottedSimulator",
     "ExperimentSpec",
     "TerminationOutcome",
     "load_result",

@@ -17,11 +17,10 @@ condition), each contributing a contiguous block of rows, so a whole
 Δ_est/ρ/erasure/fault-preset sweep pays kernel setup and per-slot
 Python dispatch once instead of once per spec point. Per-slot cost
 scales with the slot's actual transmitters and audibility edges, never
-O(R·C·N²), and memory stays O(R·(N + links)). Its fixed shapes:
-
-* :class:`BatchedSlottedSimulator` — one cell, ``B`` seeded trials;
-* :class:`~repro.sim.fast_slotted.FastSlottedSimulator` — one cell,
-  one trial: the serial engine is the grid's one-row form.
+O(R·C·N²), and memory stays O(R·(N + links)). One experiment's ``B``
+seeded trials are one cell; the serial engine,
+:class:`~repro.sim.fast_slotted.FastSlottedSimulator`, is the grid's
+one-row form.
 
 Determinism contract: rows are independent, and output is invariant to
 ``G`` and ``B``. Row ``r`` owns the ``"fast-engine"`` stream of its own
@@ -81,7 +80,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep sim/faults decoupled
     from ..faults.runtime import FaultRuntime
 
 __all__ = [
-    "BatchedSlottedSimulator",
     "FlatSchedule",
     "GridBatchedSimulator",
     "GridCell",
@@ -908,38 +906,3 @@ class GridBatchedSimulator:
             prof.lap("result", t0)
         return result
 
-
-class BatchedSlottedSimulator(GridBatchedSimulator):
-    """Vectorized synchronous simulator for a batch of seeded trials.
-
-    The single-cell form of :class:`GridBatchedSimulator`:
-    ``rng_factories[i]`` seeds trial ``i``; all trials share the
-    network, schedule, start offsets, erasure probability, fault *plan*
-    (realized independently per trial) and the stopping condition —
-    i.e. one experiment's trial campaign.
-    """
-
-    def __init__(
-        self,
-        network: M2HeWNetwork,
-        schedule: VectorSchedule,
-        rng_factories: Sequence[RngFactory],
-        start_offsets: Optional[Mapping[int, int]] = None,
-        erasure_prob: float = 0.0,
-        faults: Optional["FaultPlan"] = None,
-        *,
-        profile: bool = False,
-    ) -> None:
-        super().__init__(
-            network,
-            [
-                GridCell(
-                    schedule=schedule,
-                    rng_factories=tuple(rng_factories),
-                    start_offsets=start_offsets,
-                    erasure_prob=erasure_prob,
-                    faults=faults,
-                )
-            ],
-            profile=profile,
-        )

@@ -4,12 +4,11 @@
 :class:`~repro.sim.batched.VectorSchedule` and returns its
 :class:`~repro.sim.results.DiscoveryResult`. It is the one-row form of
 :class:`~repro.sim.batched.GridBatchedSimulator` — one
-:class:`~repro.sim.batched.GridCell` holding one factory — just as
-:class:`~repro.sim.batched.BatchedSlottedSimulator` is its one-cell
-form, so every vectorized trial runs the same slot loop whether it is
-dispatched serially, pooled, queued or served. Rows are independent
-and output is invariant to the grid's ``G`` and ``B``, so this engine's
-bytes are those of any grid row with the same trial; the goldens
+:class:`~repro.sim.batched.GridCell` holding one factory — so every
+vectorized trial runs the same slot loop whether it is dispatched
+serially, pooled, queued or served. Rows are independent and output is
+invariant to the grid's ``G`` and ``B``, so this engine's bytes are
+those of any grid row with the same trial; the goldens
 (``tests/test_engine_goldens.py``) and the grid tests pin that.
 
 The schedules, the reception kernel and :func:`start_offset_vector`

@@ -1,10 +1,9 @@
 """Slot-phase profiler for the vectorized engine.
 
 Per-slot work in :class:`~repro.sim.batched.GridBatchedSimulator` (and
-its fixed shapes: ``BatchedSlottedSimulator``, one cell, and
-``FastSlottedSimulator``, one row) decomposes into a handful of phases —
-schedule evaluation, RNG draws, channel pick/gather, the reception
-kernel, delivery/coverage updates, result building.
+its one-row form, ``FastSlottedSimulator``) decomposes into a handful
+of phases — schedule evaluation, RNG draws, channel pick/gather, the
+reception kernel, delivery/coverage updates, result building.
 :class:`SlotProfiler` accumulates wall-clock seconds and lap counts per
 phase so ``benchmarks/bench_slot_profile.py`` (and anyone chasing a
 regression) can see *where* a slot's time goes instead of guessing from

@@ -136,6 +136,16 @@ def _resolve_faults(faults: FaultsLike) -> Optional["FaultPlan"]:
     return as_fault_plan(faults)
 
 
+def _resolve_start_offsets(
+    start_offsets: Optional[Mapping[Any, int]],
+) -> Optional[Dict[int, int]]:
+    # Archives and work-queue tasks carry runner params as JSON, whose
+    # object keys are strings; node ids are ints.
+    if start_offsets is None:
+        return None
+    return {int(nid): off for nid, off in start_offsets.items()}
+
+
 def run_synchronous(
     network: M2HeWNetwork,
     protocol: str,
@@ -160,7 +170,8 @@ def run_synchronous(
         seed: Trial seed (int or SeedSequence).
         max_slots: Hard slot budget.
         delta_est: Degree bound for the protocols that need one.
-        start_offsets: Per-node start slots (variable start times).
+        start_offsets: Per-node start slots (variable start times); node
+            ids may be JSON's string keys, as archives store them.
         engine: ``"fast"`` (numpy; vectorized protocols only),
             ``"reference"`` (object-per-node; any protocol), or
             ``"auto"`` — fast when the registry says the protocol is
@@ -173,6 +184,7 @@ def run_synchronous(
             plans leave the run bit-identical to a fault-free one.
     """
     fault_plan = _resolve_faults(faults)
+    start_offsets = _resolve_start_offsets(start_offsets)
     rng_factory = RngFactory(seed)
     stopping = StoppingCondition(
         max_slots=max_slots, stop_on_full_coverage=stop_on_full_coverage
@@ -224,7 +236,7 @@ def run_synchronous(
 
 def experiment_runner_params(
     protocol: str,
-    network: M2HeWNetwork,
+    network: Optional[M2HeWNetwork],
     *,
     delta_est: Optional[int],
     max_slots: int,
@@ -234,9 +246,10 @@ def experiment_runner_params(
 
     Fills exactly the parameters the registry says ``protocol`` needs —
     the degree bound, the agreed universal channel set, the id-space
-    size — reading the latter two off the network at hand. Campaign and
-    tournament code can therefore loop over any mix of registered
-    synchronous protocols with one call site per cell.
+    size — reading the latter two off the network at hand, which may be
+    ``None`` unless the spec ``reads_network``. Campaign and tournament
+    code can therefore loop over any mix of registered synchronous
+    protocols with one call site per cell.
     """
     spec = protocol_spec(protocol)
     if spec.kind != "sync":
@@ -248,10 +261,13 @@ def experiment_runner_params(
         "max_slots": max_slots,
         "delta_est": delta_est if spec.needs_delta_est else None,
     }
-    if spec.needs_universal:
-        params["universal_channels"] = sorted(network.universal_channel_set)
-    if spec.needs_id_space:
-        params["id_space_size"] = max(network.node_ids) + 1
+    if spec.reads_network:
+        if network is None:
+            raise ConfigurationError(f"{protocol} reads its parameters off a network")
+        if spec.needs_universal:
+            params["universal_channels"] = sorted(network.universal_channel_set)
+        if spec.needs_id_space:
+            params["id_space_size"] = max(network.node_ids) + 1
     if faults is not None:
         params["faults"] = faults
     return params
@@ -516,7 +532,9 @@ def run_experiment_grid_batched(
                     # built from a caller-supplied SeedSequence, D105
                     # just cannot see through the tuple.
                     rng_factories=[RngFactory(s) for s in seeds],  # lint: disable=D105
-                    start_offsets=params.get("start_offsets"),
+                    start_offsets=_resolve_start_offsets(
+                        params.get("start_offsets")
+                    ),
                     erasure_prob=params.get("erasure_prob", 0.0),
                     faults=_resolve_faults(params.get("faults")),
                 )

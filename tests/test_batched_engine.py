@@ -16,7 +16,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.net import build_network, channels, topology
 from repro.sim.batch import ExperimentSpec, run_batch
-from repro.sim.batched import BatchedSlottedSimulator
+from repro.sim.batched import GridBatchedSimulator, GridCell
 from repro.sim.fast_slotted import (
     FastSlottedSimulator,
     FlatSchedule,
@@ -60,13 +60,13 @@ def serial_results(net, schedule, batch, stopping, **kwargs):
     return out
 
 
-def batched_results(net, schedule, batch, stopping, **kwargs):
+def batched_results(net, schedule, batch, stopping, **cell):
     factories = [
         RngFactory(derive_trial_seed(BASE_SEED, i)) for i in range(batch)
     ]
-    return BatchedSlottedSimulator(net, schedule, factories, **kwargs).run(
-        stopping
-    )
+    return GridBatchedSimulator(
+        net, [GridCell(schedule, factories, **cell)]
+    ).run(stopping)
 
 
 class TestBatchedMatchesSerial:
@@ -235,28 +235,29 @@ class TestValidation:
         net = homogeneous_net(5)
         schedule = _vector_schedule("algorithm2", net, None)
         with pytest.raises(ConfigurationError, match="at least one"):
-            BatchedSlottedSimulator(net, schedule, [])
+            GridBatchedSimulator(net, [GridCell(schedule, [])])
 
     def test_rejects_bad_erasure(self):
         net = homogeneous_net(5)
         schedule = _vector_schedule("algorithm2", net, None)
         with pytest.raises(ConfigurationError, match="erasure_prob"):
-            BatchedSlottedSimulator(
-                net, schedule, [RngFactory(0)], erasure_prob=1.0
+            GridBatchedSimulator(
+                net, [GridCell(schedule, [RngFactory(0)], erasure_prob=1.0)]
             )
 
     def test_rejects_schedule_size_mismatch(self):
         net = homogeneous_net(5)
         other = _vector_schedule("algorithm2", homogeneous_net(6), None)
         with pytest.raises(ConfigurationError, match="covers"):
-            BatchedSlottedSimulator(net, other, [RngFactory(0)])
+            GridBatchedSimulator(net, [GridCell(other, [RngFactory(0)])])
 
     def test_rejects_negative_offset(self):
         net = homogeneous_net(5)
         schedule = _vector_schedule("algorithm2", net, None)
         with pytest.raises(ConfigurationError, match="offset"):
-            BatchedSlottedSimulator(
-                net, schedule, [RngFactory(0)], start_offsets={0: -1}
+            GridBatchedSimulator(
+                net,
+                [GridCell(schedule, [RngFactory(0)], start_offsets={0: -1})],
             )
 
 

@@ -9,7 +9,6 @@ import pytest
 
 import repro.cli as cli_module
 from repro.cli import build_parser, main
-from repro.exceptions import ConfigurationError
 from repro.sim.batched import GridBatchedSimulator
 
 
@@ -23,6 +22,15 @@ rural_sparse: protocol comparison (delta_est=4, 3 trials)
           mcdis        3/3      85.700         96         99
 universal_sweep        3/3          28     31.800         32
 """
+
+
+def assert_one_line_error(capsys, fragment):
+    """The CLI refused its arguments with one ``m2hew: error:`` line."""
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("m2hew: error:")]
+    assert len(lines) == 1, err
+    assert fragment in lines[0]
+    assert "Traceback" not in err
 
 
 class TestParser:
@@ -216,9 +224,12 @@ class TestParser:
         assert code == 0
         assert rows == [3, 3, 3]
 
-    def test_compare_rejects_repeated_protocol(self):
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            main(["compare", "rural_sparse", "--protocols", "algorithm1", "algorithm1"])
+    def test_compare_rejects_repeated_protocol(self, capsys):
+        code = main(
+            ["compare", "rural_sparse", "--protocols", "algorithm1", "algorithm1"]
+        )
+        assert code == 2
+        assert_one_line_error(capsys, "duplicate")
 
     def test_terminate_sleep_policy(self, capsys):
         code = main(
@@ -259,6 +270,18 @@ class TestBatchCommand:
     def test_invalid_scenario_rejected(self):
         with pytest.raises(SystemExit):
             main(["batch", "nowhere"])
+
+    def test_repeated_protocol_exits_2(self, capsys):
+        code = main(
+            [
+                "batch",
+                "rural_sparse",
+                "--trials", "1",
+                "--protocols", "algorithm1", "algorithm1",
+            ]
+        )
+        assert code == 2
+        assert_one_line_error(capsys, "duplicate protocols")
 
     def test_batch_runs_and_tabulates(self, capsys):
         code = main(
@@ -441,29 +464,25 @@ class TestBatchResilience:
         err = capsys.readouterr().err
         assert "resumed: 2 trial(s) restored from checkpoint" in err
 
-    def test_checkpoint_and_resume_conflict(self, tmp_path):
-        from repro.exceptions import ConfigurationError
+    def test_checkpoint_and_resume_conflict(self, tmp_path, capsys):
+        code = main(
+            self.BASE
+            + [
+                "--checkpoint", str(tmp_path / "a"),
+                "--resume", str(tmp_path / "b"),
+            ]
+        )
+        assert code == 2
+        assert_one_line_error(capsys, "not both")
 
-        with pytest.raises(ConfigurationError, match="not both"):
-            main(
-                self.BASE
-                + [
-                    "--checkpoint", str(tmp_path / "a"),
-                    "--resume", str(tmp_path / "b"),
-                ]
-            )
+    def test_resume_requires_existing_directory(self, tmp_path, capsys):
+        code = main(self.BASE + ["--resume", str(tmp_path / "missing")])
+        assert code == 2
+        assert_one_line_error(capsys, "no such checkpoint")
 
-    def test_resume_requires_existing_directory(self, tmp_path):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="no such checkpoint"):
-            main(self.BASE + ["--resume", str(tmp_path / "missing")])
-
-    def test_bad_chaos_spec_rejected(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main(self.BASE + ["--chaos", "explode@banana"])
+    def test_bad_chaos_spec_rejected(self, capsys):
+        assert main(self.BASE + ["--chaos", "explode@banana"]) == 2
+        assert_one_line_error(capsys, "bad chaos event")
 
 
 class TestProtocolChoiceDrift:

@@ -356,6 +356,44 @@ class TestDistributedSupervised:
         assert task_entries == [4, 4]  # one task, two chunks, all on workers
         assert experiment_files(tmp_path / "sharded") == alone
 
+    @pytest.mark.parametrize("chunk_size", [1, 2])
+    def test_start_offsets_run_on_queue_workers(self, tmp_path, monkeypatch, chunk_size):
+        # Variable start times reach workers through the task's JSON, with
+        # string node ids: one-row chunks run them trial by trial, the
+        # two-row chunk in a grid pass. No attempt may fail back to the
+        # coordinator.
+        spec = ExperimentSpec(
+            name="clique_offsets",
+            workload=small_workload(),
+            protocol="algorithm3",
+            trials=2,
+            runner_params={**PARAMS, "start_offsets": {0: 3, 2: 1, 4: 5}},
+        )
+        alone = solo_archives([spec], 7, tmp_path / "alone")
+        queue = WorkQueue(tmp_path / "queue")
+        claimed = []
+        (alpha,) = start_workers(
+            queue, "alpha", on_claimed=lambda _task, chunk: claimed.append(chunk)
+        )
+        monkeypatch.setattr(
+            supervisor_module,
+            "run_trial_group",
+            functools.partial(
+                supervisor_module.run_trial_group, sleep=WorkerPump([alpha])
+            ),
+        )
+        (outcome,) = run_batch(
+            [spec],
+            base_seed=7,
+            output_dir=tmp_path / "sharded",
+            chunk_size=chunk_size,
+            queue_dir=tmp_path / "queue",
+            lease=FAST_LEASE,
+        )
+        assert [e.as_dict() for e in outcome.events if e.kind == "retry"] == []
+        assert len(claimed) == 2 // chunk_size
+        assert experiment_files(tmp_path / "sharded") == alone
+
     def test_queue_needs_integer_base_seed(self, network, tmp_path):
         # Workers re-derive seeds from the task's base seed; None would
         # draw fresh entropy per execution and break byte-identical

@@ -26,7 +26,7 @@ from repro.sim.parallel import (
 )
 from repro.sim.rng import derive_trial_seed
 from repro.sim.runner import replay_trial, run_experiment_trial
-from repro.workloads.generator import WorkloadConfig
+from repro.workloads.generator import WorkloadConfig, generate_network
 
 
 def tiny_net() -> M2HeWNetwork:
@@ -437,6 +437,33 @@ class TestReplayContract:
             runner_params=params,
         )
         assert replayed.to_dict() == results[2].to_dict()
+
+    def test_replay_from_archived_start_offsets(self, tmp_path):
+        # The archive stores start_offsets under JSON's string keys; the
+        # archived runner_params must replay the trial as it ran.
+        spec = ExperimentSpec(
+            name="clique_offsets",
+            workload=small_workload(),
+            protocol="algorithm3",
+            trials=2,
+            runner_params={**PARAMS, "start_offsets": {0: 3, 2: 1, 4: 5}},
+        )
+        run_batch([spec], base_seed=9, output_dir=tmp_path)
+        archived = json.loads((tmp_path / "clique_offsets.json").read_text())
+        assert archived["spec"]["runner_params"]["start_offsets"] == {
+            "0": 3, "2": 1, "4": 5,
+        }
+        replayed = replay_trial(
+            generate_network(spec.workload, seed=spec.network_seed),
+            "algorithm3",
+            base_seed=9,
+            trial_index=1,
+            runner_params=archived["spec"]["runner_params"],
+        )
+        trial = archived["trials"][1]
+        for key in ("experiment", "trial", "workload"):  # stamped by run_batch
+            del trial["metadata"][key]
+        assert json.loads(json.dumps(replayed.to_dict())) == trial
 
     def test_replay_trial_reproduces_failure(self):
         net = tiny_net()

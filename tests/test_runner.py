@@ -14,6 +14,7 @@ from repro.sim.clock import (
     SinusoidalDriftClock,
 )
 from repro.sim.runner import (
+    experiment_runner_params,
     make_clocks,
     random_start_offsets,
     run_asynchronous,
@@ -120,6 +121,19 @@ class TestRunSynchronous:
         )
         assert r.metadata["engine"] == "slotted-reference"
         assert trace.node_ids
+
+
+class TestExperimentRunnerParams:
+    def test_network_needed_only_by_baselines(self, clique_net):
+        kwargs = dict(delta_est=4, max_slots=100)
+        assert experiment_runner_params(
+            "algorithm3", None, **kwargs
+        ) == experiment_runner_params("algorithm3", clique_net, **kwargs)
+        params = experiment_runner_params("deterministic_scan", clique_net, **kwargs)
+        assert params["universal_channels"] == [0, 1]
+        assert params["id_space_size"] == 5
+        with pytest.raises(ConfigurationError, match="off a network"):
+            experiment_runner_params("universal_sweep", None, **kwargs)
 
 
 class TestRunAsynchronous:

@@ -38,6 +38,7 @@ import repro.service.store as store_module
 from repro.service.store import ResultStore
 from repro.service.worker import execute_job
 from repro.sim.batch import batch_fingerprint, run_batch
+import repro.workloads.scenarios as scenarios_module
 from repro.workloads.scenarios import scenario
 
 QUICK = dict(
@@ -147,6 +148,35 @@ class TestCampaignSpecs:
         (spec,) = campaign_specs(req)
         assert "max_slots" not in spec.runner_params
         assert spec.runner_params["delta_est"] >= 1
+
+    #: request_fingerprint of the campus_cr campaigns below, recorded
+    #: when campaign_specs still realized the network for every request.
+    CAMPUS_FINGERPRINTS = {
+        False: "6383ee20f199c03fc4063f7efce20ff082f4c189ebf8555662d06dae07c8481e",
+        True: "fe0f3e40651a99410477537c101e632514240f98a5ec3c885b33f7d36ff7e5e5",
+    }
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_network_realized_only_for_baselines(self, monkeypatch, baseline):
+        # Only a baseline's parameters (the universal channel set, the
+        # id space) are read off the network; the paper's algorithms,
+        # mcdis and algorithm4 leave its realization to run_batch.
+        protocols = ("algorithm1", "algorithm3", "mcdis", "algorithm4")
+        if baseline:
+            protocols += ("universal_sweep",)
+        req = CampaignRequest(scenario="campus_cr", protocols=protocols, trials=2)
+        calls = []
+        real = scenarios_module.generate_network
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios_module, "generate_network", counted)
+        specs = campaign_specs(req)
+        assert len(calls) == (1 if baseline else 0)
+        assert [s.protocol for s in specs] == list(protocols)
+        assert request_fingerprint(req) == self.CAMPUS_FINGERPRINTS[baseline]
 
     def test_resolve_fault_plan_selectors(self):
         scen = scenario("single_common_channel")
@@ -300,7 +330,10 @@ class TestStoreEviction:
         assert fingerprints[0] not in evicted
         assert fingerprints[0] in store.stored_fingerprints()
 
-    def test_corrupt_archives_evicted_first(self, tmp_path):
+    def test_corrupt_archive_evicted_by_recency_refused_on_lookup(self, tmp_path):
+        # Eviction ranks by recency alone: a corrupt but recently used
+        # archive outlives the least-recently-used one, and the lookup
+        # that would serve it refuses and discards it instead.
         store, fingerprints = self._filled(tmp_path, max_archives=2)
         store.touch(fingerprints[2])  # newest recency, then corrupt it
         flip_byte(
@@ -308,8 +341,24 @@ class TestStoreEviction:
             / "single_common_channel_algorithm3.json",
             index=10,
         )
-        evicted = store.enforce_limits()
-        assert evicted == [fingerprints[2]]
+        assert store.enforce_limits() == [fingerprints[0]]
+        assert fingerprints[2] in store.stored_fingerprints()
+        assert store.lookup(fingerprints[2]) is None
+        assert not store.path_for(fingerprints[2]).exists()
+        assert store.stored_fingerprints() == [fingerprints[1]]
+
+    def test_eviction_pass_reads_no_archive_contents(self, tmp_path, monkeypatch):
+        store, fingerprints = self._filled(tmp_path, max_archives=1)
+        calls = []
+        real_verify = store_module.verify_archive
+
+        def counting_verify(path):
+            calls.append(path)
+            return real_verify(path)
+
+        monkeypatch.setattr(store_module, "verify_archive", counting_verify)
+        assert store.enforce_limits() == fingerprints[:2]
+        assert calls == []
 
     def test_torn_lru_index_tolerated(self, tmp_path):
         store, fingerprints = self._filled(tmp_path, max_archives=2)
@@ -319,20 +368,20 @@ class TestStoreEviction:
         assert len(store.stored_fingerprints()) == 2
 
     def test_touch_during_eviction_pass_survives(self, tmp_path, monkeypatch):
-        # Eviction verifies archives on the job thread while cache hits
-        # touch from the event loop: a touch landing mid-pass must
-        # survive the pass's own index write-back.
+        # Eviction runs on the event loop while job threads touch the
+        # archives they finish: a touch landing mid-pass must survive
+        # the pass's own index write-back.
         store, fingerprints = self._filled(tmp_path, max_archives=2)
-        real_verify = store_module.verify_archive
+        real_size = store._archive_bytes
         touched = []
 
-        def verify_with_cache_hit(path):
+        def size_with_job_touch(path):
             if not touched:
                 touched.append(fingerprints[1])
                 store.touch(fingerprints[1])
-            return real_verify(path)
+            return real_size(path)
 
-        monkeypatch.setattr(store_module, "verify_archive", verify_with_cache_hit)
+        monkeypatch.setattr(store, "_archive_bytes", size_with_job_touch)
         assert store.enforce_limits() == [fingerprints[0]]
         # The mid-pass touch made fingerprints[1] the most recent, so
         # the next pass evicts fingerprints[2].
