@@ -4,12 +4,19 @@ Records in ``BENCH_distributed.json`` at the repo root:
 
 * wall-clock of one campaign run serially in-process versus sharded
   over two real ``m2hew worker`` subprocesses through a lease-based
-  file queue (coordinator overhead, IPC-through-filesystem cost and
-  subprocess startup all included — on a small campaign the sharded
-  run is *expected* to be slower; the record is a regression baseline
-  for the protocol's overhead, not a speedup claim);
-* ``byte_identical`` — the load-bearing assertion: the sharded archive
-  must byte-match the serial archive file for file.
+  file queue (coordinator overhead and IPC-through-filesystem cost
+  included; worker start-up is not: the workers start once, before the
+  first round, and idle-poll the queue through the serial rounds too).
+  One timing of a campaign this small is mostly noise, so the two sides
+  run ``ROUNDS`` times each, interleaved (serial first in even rounds,
+  sharded first in odd ones), and the record keeps every run plus each
+  side's median, min and max; ``serial_seconds``/``sharded_seconds``
+  are the medians and ``sharded_vs_serial_ratio`` is their ratio. On a
+  small campaign the sharded run is *expected* to be slower; the record
+  is a regression baseline for the protocol's overhead, not a speedup
+  claim;
+* ``byte_identical`` — the load-bearing assertion: every sharded
+  archive must byte-match the serial archive file for file.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_distributed.py``)
 or via pytest-benchmark.
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -37,6 +45,7 @@ CHUNK_SIZE = 2  # 4 chunks for 2 workers to split
 MAX_SLOTS = 3_000
 BASE_SEED = 7
 WORKERS = 2
+ROUNDS = 5  # timings per side, interleaved
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_distributed.json"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -86,7 +95,7 @@ def _spawn_worker(queue_dir: Path, index: int) -> "subprocess.Popen[bytes]":
             "--worker-id",
             f"bench-{index}",
             "--idle-exit",
-            "2.0",
+            "120",
             "--lease-ttl",
             str(LEASE.lease_ttl),
             "--poll-interval",
@@ -106,42 +115,56 @@ def _await_heartbeats(queue: WorkQueue, count: int, timeout: float = 60.0) -> No
         time.sleep(0.05)
 
 
+def _spread(prefix: str, runs: list) -> dict:
+    return {
+        f"{prefix}_seconds": round(statistics.median(runs), 4),
+        f"{prefix}_seconds_min": round(min(runs), 4),
+        f"{prefix}_seconds_max": round(max(runs), 4),
+        f"{prefix}_runs_s": [round(t, 4) for t in runs],
+    }
+
+
 def run_experiment() -> dict:
     specs = _specs()
+    runs: dict = {"serial": [], "sharded": []}
+    archives = []
     with TemporaryDirectory(prefix="m2hew-bench-dist-") as tmp:
         root = Path(tmp)
-        serial_dir = root / "serial"
-        t0 = time.perf_counter()
-        run_batch(specs, base_seed=BASE_SEED, output_dir=serial_dir)
-        serial_s = time.perf_counter() - t0
-
         queue_dir = root / "queue"
         queue = WorkQueue(queue_dir)
+
+        def timed(side: str, out: Path) -> None:
+            options = {}
+            if side == "sharded":
+                options = dict(
+                    backend="distributed",
+                    chunk_size=CHUNK_SIZE,
+                    retry=RetryPolicy(base_delay=0.0, jitter=0.0),
+                    queue_dir=queue_dir,
+                    lease=LEASE,
+                )
+            t0 = time.perf_counter()
+            run_batch(specs, base_seed=BASE_SEED, output_dir=out, **options)
+            runs[side].append(time.perf_counter() - t0)
+            archives.append(_archive_bytes(out))
+
         procs = [_spawn_worker(queue_dir, i) for i in range(WORKERS)]
-        sharded_dir = root / "sharded"
         try:
             _await_heartbeats(queue, WORKERS)
-            t0 = time.perf_counter()
-            run_batch(
-                specs,
-                base_seed=BASE_SEED,
-                output_dir=sharded_dir,
-                backend="distributed",
-                chunk_size=CHUNK_SIZE,
-                retry=RetryPolicy(base_delay=0.0, jitter=0.0),
-                queue_dir=queue_dir,
-                lease=LEASE,
-            )
-            sharded_s = time.perf_counter() - t0
+            for r in range(ROUNDS):
+                order = ("serial", "sharded") if r % 2 == 0 else ("sharded", "serial")
+                for side in order:
+                    timed(side, root / f"{side}-{r}")
         finally:
             for proc in procs:
+                proc.terminate()
                 try:
                     proc.wait(timeout=30)
                 except subprocess.TimeoutExpired:
                     proc.kill()
+                    proc.wait()
 
-        byte_identical = _archive_bytes(sharded_dir) == _archive_bytes(serial_dir)
-
+    byte_identical = all(files == archives[0] for files in archives)
     record = {
         "benchmark": "distributed_sharding",
         "trials": TRIALS,
@@ -150,20 +173,30 @@ def run_experiment() -> dict:
         "base_seed": BASE_SEED,
         "workers": WORKERS,
         "lease_ttl": LEASE.lease_ttl,
-        "serial_seconds": round(serial_s, 4),
-        "sharded_seconds": round(sharded_s, 4),
-        "sharded_vs_serial_ratio": round(sharded_s / serial_s, 3),
+        "rounds": ROUNDS,
+        **_spread("serial", runs["serial"]),
+        **_spread("sharded", runs["sharded"]),
+        "sharded_vs_serial_ratio": round(
+            statistics.median(runs["sharded"]) / statistics.median(runs["serial"]), 3
+        ),
         "byte_identical": byte_identical,
     }
-    assert byte_identical, "sharded archive diverged from serial archive"
+    assert byte_identical, "a sharded archive diverged from the serial archive"
     emit_bench_record(BENCH_PATH, record)
     emit_table(
         "distributed",
         [record],
-        title="Distributed sharding — 2-worker queue vs serial, byte-identity",
+        title=(
+            f"Distributed sharding — 2-worker queue vs serial, median of "
+            f"{ROUNDS} interleaved rounds (min-max), byte-identity"
+        ),
         columns=[
             "serial_seconds",
+            "serial_seconds_min",
+            "serial_seconds_max",
             "sharded_seconds",
+            "sharded_seconds_min",
+            "sharded_seconds_max",
             "sharded_vs_serial_ratio",
             "byte_identical",
         ],

@@ -77,7 +77,6 @@ def run_experiment(workers: int = 0) -> dict:
             base_seed=BASE_SEED,
             output_dir=parallel_dir,
             max_workers=workers,
-            backend="process",
         )
         parallel_seconds = time.perf_counter() - t0
 

@@ -22,7 +22,7 @@ its proofs; the lemmas may hold with slack beyond them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.algorithm4 import SLOTS_PER_FRAME

@@ -11,14 +11,13 @@ provides the generic loop so every benchmark reads the same way:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..sim.results import DiscoveryResult
-from ..sim.rng import derive_trial_seed
 from .stats import SampleSummary, summarize
 
 __all__ = ["SweepRow", "TrialFn", "run_sweep", "grid_points"]

@@ -6,7 +6,7 @@ keeps that output aligned and readable without any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence
 
 from ..exceptions import ConfigurationError
 

@@ -19,7 +19,7 @@ discovered the other — since a cluster link needs traffic both ways.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Mapping, Set
 
 from ..exceptions import ConfigurationError
 

@@ -25,7 +25,7 @@ makes this module an end-to-end audit of discovery output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Set, Tuple
 
 from ..exceptions import ConfigurationError
 

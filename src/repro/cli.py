@@ -263,14 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "trial indices per dispatch chunk, each run as one grid pass "
-            "(default: 1 serially, auto with --workers)"
+            "(default: 1 in-process, auto with --workers or --queue)"
         ),
     )
     batch.add_argument(
         "--trial-timeout",
         type=float,
         default=None,
-        help="per-trial wall-clock budget in seconds",
+        help=(
+            "per-trial wall-clock budget in seconds (only a pool enforces "
+            "it: needs --workers > 1)"
+        ),
     )
     batch.add_argument(
         "--output",
@@ -344,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "distributed lease time-to-live: a chunk lease whose worker "
-            "heartbeat goes stale for this long is reclaimed (default 15)"
+            "heartbeat goes stale for this long is reclaimed (default 15; "
+            "needs --queue)"
         ),
     )
 
@@ -405,9 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="trial fan-out processes per campaign (output is identical)",
+        help=(
+            "trial fan-out processes per campaign (output is identical; "
+            "1 with --queue)"
+        ),
     )
-    serve.add_argument("--backend", choices=BACKENDS, default="auto")
     serve.add_argument(
         "--chunk-size",
         type=int,
@@ -1052,7 +1058,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         retry=RetryPolicy(max_retries=args.retries),
         max_workers=args.workers,
-        backend=args.backend,
         chunk_size=args.chunk_size,
         queue_dir=args.queue,
         store_max_archives=args.store_max_archives,

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from ..exceptions import ConfigurationError
 from .base import (

@@ -10,7 +10,7 @@ that reaches around those seams.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List
 
 from ..lint import AnyFunctionDef, Finding, ModuleContext, Rule, dotted_name
 

@@ -13,7 +13,7 @@ analysis code consume.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from ..exceptions import NetworkModelError
 from . import channels, primary_users, propagation, topology

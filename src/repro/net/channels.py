@@ -13,7 +13,7 @@ All functions return ``{node_id: frozenset(channels)}`` suitable for
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional
 
 import numpy as np
 

@@ -15,7 +15,7 @@ produces exactly the heterogeneous availability the paper studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 

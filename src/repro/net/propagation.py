@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-import numpy as np
-
 from ..exceptions import ConfigurationError
 from .network import M2HeWNetwork
 from .node import NodeSpec

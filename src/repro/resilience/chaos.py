@@ -14,7 +14,7 @@ Modes:
   running the trial (a soft failure: the pool survives);
 * ``exit`` — the worker process dies with ``os._exit`` (surfaces as
   ``BrokenProcessPool`` in the parent). When the chunk executes
-  in-process — serial backend, or after the supervisor degraded the
+  in-process — one worker, or after the supervisor degraded the
   pool — the mode degrades to ``raise`` so chaos never kills the
   campaign parent;
 * ``timeout`` — consumed by the supervisor at collection time: the

@@ -85,8 +85,8 @@ __all__ = [
 ]
 
 #: The ``m2hew batch --backend`` name routing to this module. Kept out
-#: of :data:`repro.sim.parallel.BACKENDS` deliberately: it is not a
-#: chunking plan but an executor choice layered above one.
+#: of :data:`repro.sim.parallel.BACKENDS` deliberately: it needs a
+#: ``queue_dir``, which selects this module on its own.
 DISTRIBUTED_BACKEND = "distributed"
 
 #: Version 2: a task carries a whole trial group (``entries`` plus
@@ -544,24 +544,14 @@ class _Observation:
 class DistributedChunkExecutor(ChunkExecutor):
     """The coordinator rung: publish chunks, absorb results, heal leases."""
 
-    def __init__(
-        self,
-        queue: WorkQueue,
-        lease: LeasePolicy,
-        *,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, queue: WorkQueue, lease: LeasePolicy) -> None:
         self.queue = queue
         self.lease = lease
-        self._clock = clock
         self._seen: Dict[str, _Observation] = {}
         self._stole: Set[Tuple[int, int]] = set()
         self._staled: Set[Tuple[int, int]] = set()
         self._degraded = False
         self._local_id = f"coordinator-{default_worker_id()}"
-
-    def _now(self) -> float:
-        return self._clock() if self._clock is not None else float(_monotonic())
 
     def _observe(self, key: str, content: Optional[str]) -> Optional[float]:
         """Seconds this content has sat unchanged *under our observation*.
@@ -575,7 +565,7 @@ class DistributedChunkExecutor(ChunkExecutor):
             self._seen.pop(key, None)
             return None
         seen = self._seen.get(key)
-        now = self._now()
+        now = float(_monotonic())
         if seen is None or seen.content != content:
             self._seen[key] = _Observation(content=content, first_seen=now)
             return 0.0
@@ -599,14 +589,6 @@ class DistributedChunkExecutor(ChunkExecutor):
             "chaos": chaos_to_jsonable(sup.chaos),
         }
         task_id = self.queue.publish_task(payload)
-        for chunk_no, state in enumerate(pending):
-            if state.attempt:
-                self.queue.write_marker(
-                    task_id,
-                    chunk_no,
-                    "retry",
-                    {"kind": "retry", "chunk": chunk_no, "attempt": state.attempt},
-                )
         while any(not s.done for s in pending):
             progressed = False
             for chunk_no, state in enumerate(pending):

@@ -16,7 +16,9 @@ is the executor's business, behind one interface:
 
 Executors form a degradation ladder: each one marks the chunks it
 finished ``done`` and returns; whatever is left falls through to the
-next executor (pool → in-process; distributed → in-process). Every
+next executor (pool → in-process). The distributed rung stands alone:
+it returns only once every chunk is done, running chunks itself when
+no remote worker is alive. Every
 executor records results keyed by entry and trial index through the
 same :class:`_Supervision` bookkeeping, so the archived bytes cannot
 depend on which executor (or host) a trial eventually succeeded on.
@@ -50,7 +52,7 @@ import numpy as np
 from ..exceptions import TrialExecutionError, TrialQuarantinedError
 from ..net.network import M2HeWNetwork
 from ..net.serialization import network_to_json
-from ..sim.parallel import ParallelPlan, _ChunkPayload, _run_chunk, _wrap_failure
+from ..sim.parallel import _ChunkPayload, _run_chunk, _wrap_failure
 from ..sim.results import DiscoveryResult
 from .chaos import ChaosPlan
 from .checkpoint import TrialJournal
@@ -435,17 +437,21 @@ class PooledChunkExecutor(ChunkExecutor):
     Under the fail-fast policy the first failure of any kind raises.
     """
 
-    def __init__(
-        self, plan: ParallelPlan, trial_timeout: Optional[float] = None
-    ) -> None:
-        self.plan = plan
+    def __init__(self, max_workers: int, trial_timeout: Optional[float] = None) -> None:
+        self.max_workers = max_workers
         self.trial_timeout = trial_timeout
 
     def _pool(self, workers: int) -> concurrent.futures.Executor:
-        """A fresh worker pool (the one process-pool site of the package)."""
+        """A fresh worker pool (the one process-pool site of the package).
+
+        ``fork`` where the platform offers it (cheap workers), else the
+        platform default. Results do not depend on the start method:
+        trials are pure functions of their shipped payload.
+        """
+        fork = "fork" in multiprocessing.get_all_start_methods()
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=multiprocessing.get_context(self.plan.start_method),
+            mp_context=multiprocessing.get_context("fork" if fork else None),
         )
 
     @staticmethod
@@ -457,7 +463,7 @@ class PooledChunkExecutor(ChunkExecutor):
     def run(self, states: List[_ChunkState], sup: _Supervision) -> None:
         while any(not s.done for s in states):
             open_states = [s for s in states if not s.done]
-            executor = self._pool(min(self.plan.max_workers, len(open_states)))
+            executor = self._pool(min(self.max_workers, len(open_states)))
             try:
                 pending: List[Tuple[_ChunkState, Any]] = [
                     (state, self._submit(executor, state, sup))

@@ -27,11 +27,12 @@ when a chunk fails is the policy's business:
   where it stopped, with archives byte-identical to an uninterrupted
   run.
 
-The executors are a process pool, the in-process loop, or — with
-``queue_dir``/``backend="distributed"`` — the multi-host file-queue
-coordinator of :mod:`repro.resilience.distributed`. Whatever chunks one
-rung leaves unfinished fall through to the next, ending at the
-in-process loop which always finishes.
+:func:`run_trial_group` is also the one place that plans a group: with
+``queue_dir`` (or ``backend="distributed"``) the chunks go to the
+multi-host file-queue coordinator of :mod:`repro.resilience.distributed`
+alone; with ``max_workers > 1`` on a host that can run one, to a process
+pool, whose leftovers fall through to the in-process loop; otherwise to
+the in-process loop, which always finishes.
 
 Determinism: trial ``t`` of every entry always runs from
 ``derive_trial_seed(base_seed, t)``, results are keyed by entry and
@@ -53,7 +54,7 @@ from typing import Any, Callable, List, Mapping, Optional, Sequence, Set
 
 from ..exceptions import ConfigurationError
 from ..net.network import M2HeWNetwork
-from ..sim.parallel import default_chunk_size, resolve_plan
+from ..sim import parallel
 from ..sim.results import result_from_dict
 from ..sim.rng import RngFactory, derive_trial_seed
 from .chaos import ChaosPlan
@@ -116,8 +117,19 @@ def run_trial_group(
     run trial by trial inside it). A work queue task carries the whole
     group; its workers re-derive trial seeds from ``base_seed``, which
     must therefore be an integer. ``policy.max_total_retries`` and the
-    pool-breakage count are per group, so they span every entry. The
-    execution options mean what they mean for
+    pool-breakage count are per group, so they span every entry.
+
+    This is the one place that picks the executors and the default
+    chunk size. A work queue (``queue_dir``) runs chunks on its lease
+    coordinator alone, ``default_chunk_size(trials, 4)`` trials each. A
+    pool runs iff ``max_workers > 1``, there is no queue and
+    :func:`~repro.sim.parallel.pool_supported`, with
+    ``default_chunk_size(trials, max_workers)`` trials per chunk and the
+    in-process loop below it for what a degraded pool leaves. Otherwise
+    chunks run in-process, one trial each (every trial in one chunk
+    under ``backend="vectorized"``).
+
+    The execution options mean what they mean for
     :func:`run_supervised_trials`, except:
 
     Args:
@@ -130,9 +142,12 @@ def run_trial_group(
             entry trials)``.
 
     Raises:
-        ConfigurationError: No entries, a non-positive trial count,
-            ``backend="distributed"`` without a ``queue_dir``, or a work
-            queue given ``base_seed=None``.
+        ConfigurationError: No entries, a non-positive trial count, an
+            unknown backend, a non-positive worker count or chunk size,
+            ``backend="distributed"`` without a ``queue_dir``, a work
+            queue given ``base_seed=None``, or a knob the plan would
+            ignore: ``trial_timeout`` without a pool, ``lease`` without
+            a queue, or ``max_workers > 1`` with a queue.
         TrialExecutionError: Under the fail-fast policy, the first
             failing chunk; otherwise, the retry budget ran out.
         TrialQuarantinedError: A trial exhausted its retries and the
@@ -152,6 +167,13 @@ def run_trial_group(
     for entry in entries:
         if entry.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {entry.trials}")
+    accepted = parallel.BACKENDS + (DISTRIBUTED_BACKEND,)
+    if backend not in accepted:
+        raise ConfigurationError(f"unknown backend {backend!r}; choose from {accepted}")
+    if max_workers < 1:
+        raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
     distributed = queue_dir is not None or backend == DISTRIBUTED_BACKEND
     if distributed and queue_dir is None:
         raise ConfigurationError(
@@ -164,17 +186,32 @@ def run_trial_group(
             "re-derive every trial seed from it, so base_seed=None "
             "would draw fresh entropy on every execution"
         )
+    # Refuse the knobs the chosen executors would silently ignore.
+    if distributed and max_workers > 1:
+        raise ConfigurationError(
+            "a work queue runs its chunks on 'm2hew worker' processes, "
+            "never on a local pool; drop max_workers > 1 (--workers) or "
+            "the queue"
+        )
+    if lease is not None and not distributed:
+        raise ConfigurationError(
+            "a lease policy (--lease-ttl) applies only to a work queue "
+            "(queue_dir= / --queue)"
+        )
+    pooled = not distributed and max_workers > 1 and parallel.pool_supported()
+    if trial_timeout is not None and not pooled:
+        raise ConfigurationError(
+            "a trial timeout is enforced only on a process pool; pass "
+            "max_workers > 1 (--workers N) on a host that can run one"
+        )
     trials = max(entry.trials for entry in entries)
-    if distributed and chunk_size is None:
-        # Serial plans default to per-trial chunks; a shared queue wants
-        # fewer, larger leases for workers to steal.
-        chunk_size = default_chunk_size(trials, 4)
-    plan = resolve_plan(
-        trials,
-        max_workers=max_workers,
-        backend="serial" if distributed else backend,
-        chunk_size=chunk_size,
-    )
+    if chunk_size is None:
+        if distributed:  # fewer, larger leases for workers to steal
+            chunk_size = parallel.default_chunk_size(trials, 4)
+        elif pooled:
+            chunk_size = parallel.default_chunk_size(trials, max_workers)
+        else:
+            chunk_size = trials if backend == "vectorized" else 1
     seeds = [derive_trial_seed(base_seed, t) for t in range(trials)]
     journal_list: List[Optional[TrialJournal]] = (
         list(journals) if journals is not None else [None] * len(entries)
@@ -198,7 +235,7 @@ def run_trial_group(
     todo = [
         {t for t in range(o.trials) if t not in o.completed} for o in outcomes
     ]
-    states = _chunk_states(todo, plan.chunk_size)
+    states = _chunk_states(todo, chunk_size)
     if not states:
         return outcomes
     restored = sum(o.restored for o in outcomes)
@@ -224,18 +261,13 @@ def run_trial_group(
         jitter_rng=RngFactory(base_seed).stream(f"resilience/backoff/{label or ''}"),
         on_progress=on_progress,
     )
-    ladder: List[ChunkExecutor] = []
-    if distributed:
+    ladder: List[ChunkExecutor] = [InProcessChunkExecutor()]
+    if distributed:  # returns only once every chunk is done
         assert queue_dir is not None
-        ladder.append(
-            DistributedChunkExecutor(
-                WorkQueue(Path(queue_dir)),
-                lease if isinstance(lease, LeasePolicy) else LeasePolicy(),
-            )
-        )
-    elif plan.backend == "process":
-        ladder.append(PooledChunkExecutor(plan, trial_timeout))
-    ladder.append(InProcessChunkExecutor())
+        lease = lease if isinstance(lease, LeasePolicy) else LeasePolicy()
+        ladder = [DistributedChunkExecutor(WorkQueue(Path(queue_dir)), lease)]
+    elif pooled:
+        ladder.insert(0, PooledChunkExecutor(max_workers, trial_timeout))
     for rung in ladder:
         if any(not s.done for s in states):
             rung.run(states, supervision)
@@ -305,13 +337,15 @@ def run_supervised_trials(
             queue and claimed by ``m2hew worker`` processes on any
             host; this process coordinates (absorbs results, reclaims
             dead leases) and degrades to executing chunks itself when
-            no live remote worker exists.
+            no live remote worker exists. It takes no ``max_workers >
+            1``: the queue's workers are the fan-out.
         lease: :class:`~repro.resilience.distributed.LeasePolicy`
-            overriding lease TTL / heartbeat / poll cadence.
+            overriding lease TTL / heartbeat / poll cadence; only with
+            ``queue_dir``.
 
     Raises:
-        ConfigurationError: ``backend="distributed"`` without a
-            ``queue_dir``.
+        ConfigurationError: An invalid option or a knob the plan would
+            ignore (see :func:`run_trial_group`).
         TrialQuarantinedError: A trial exhausted its retries and the
             policy has quarantine disabled.
         TrialExecutionError: The campaign-wide retry budget ran out.

@@ -73,6 +73,10 @@ class CampaignService:
     (archives by fingerprint), ``<data_dir>/ckpt/`` (checkpoint
     journals by fingerprint). Everything a restart needs is on disk;
     call :meth:`restore` (or :meth:`serve`) to rebuild the queue.
+
+    Raises:
+        ConfigurationError: ``max_workers > 1`` together with a
+            ``queue_dir``, which every job would refuse.
     """
 
     def __init__(
@@ -82,12 +86,17 @@ class CampaignService:
         quota: Optional[QuotaPolicy] = None,
         retry: Optional[RetryPolicy] = None,
         max_workers: int = 1,
-        backend: str = "auto",
         chunk_size: Optional[int] = 1,
         queue_dir: Optional[Union[str, Path]] = None,
         store_max_archives: Optional[int] = None,
         store_max_bytes: Optional[int] = None,
     ) -> None:
+        if queue_dir is not None and max_workers > 1:
+            raise ConfigurationError(
+                "a work queue runs campaign chunks on 'm2hew worker' "
+                "processes, never on a local pool; pass --workers 1 "
+                "with --queue"
+            )
         data = Path(data_dir)
         self.data_dir = data
         self.jobs = JobStore(data / "jobs")
@@ -101,7 +110,6 @@ class CampaignService:
         self.progress = ProgressTracker()
         self.retry = retry or RetryPolicy()
         self.max_workers = max_workers
-        self.backend = backend
         self.chunk_size = chunk_size
         #: Shared distributed work queue; jobs fan chunks out to any
         #: ``m2hew worker --queue`` process that mounts it.
@@ -215,7 +223,6 @@ class CampaignService:
                 checkpoint_root=self.checkpoint_root,
                 retry=self.retry,
                 max_workers=self.max_workers,
-                backend=self.backend,
                 chunk_size=self.chunk_size,
                 on_progress=on_progress,
                 cancelled=flag.is_set,

@@ -65,7 +65,6 @@ def execute_job(
     checkpoint_root: Union[str, Path],
     retry: Optional[RetryPolicy] = None,
     max_workers: int = 1,
-    backend: str = "auto",
     chunk_size: Optional[int] = 1,
     on_progress: Optional[Callable[[str, int, int], None]] = None,
     cancelled: Optional[Callable[[], bool]] = None,
@@ -81,8 +80,8 @@ def execute_job(
             journal directories.
         retry: Supervision policy (default: a standard
             :class:`~repro.resilience.policy.RetryPolicy`).
-        max_workers: Trial fan-out processes per campaign.
-        backend: Execution backend (see :mod:`repro.sim.parallel`).
+        max_workers: Trial fan-out processes per campaign (a pool
+            when more than 1; none with ``queue_dir``).
         chunk_size: Trials per dispatch unit. The default of 1 gives
             per-trial journaling and progress granularity — archives
             are chunking-invariant, so this is a latency knob only.
@@ -135,7 +134,6 @@ def execute_job(
         base_seed=job.request.base_seed,
         output_dir=archive_dir,
         max_workers=max_workers,
-        backend=backend,
         chunk_size=chunk_size,
         retry=retry or RetryPolicy(),
         checkpoint_dir=checkpoint_dir,

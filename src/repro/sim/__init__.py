@@ -23,12 +23,7 @@ from .clock import (
     check_drift_bound,
 )
 from .fast_slotted import FastSlottedSimulator
-from .parallel import (
-    ParallelPlan,
-    resolve_plan,
-    run_grid_spec_trials,
-    run_spec_trials,
-)
+from .parallel import run_grid_spec_trials, run_spec_trials
 from .profile import SlotProfiler
 from .results import DiscoveryResult, load_result, result_from_dict
 from .rng import RngFactory, derive_trial_seed, make_generator, spawn_generators
@@ -70,7 +65,6 @@ __all__ = [
     "GridBatchedSimulator",
     "GridCell",
     "GrowingEstimateSchedule",
-    "ParallelPlan",
     "PerfectClock",
     "PiecewiseDriftClock",
     "RandomWalkDriftClock",
@@ -88,7 +82,6 @@ __all__ = [
     "make_clocks",
     "make_generator",
     "random_start_offsets",
-    "resolve_plan",
     "run_asynchronous",
     "run_experiment_grid_batched",
     "run_experiment_trial",

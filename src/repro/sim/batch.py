@@ -309,25 +309,27 @@ def run_batch(
         output_dir: If given, write ``<name>.json`` per experiment (all
             trial results) and ``manifest.json``, all atomically and
             checksummed (format :data:`ARCHIVE_SCHEMA_VERSION`).
-        max_workers: Trial fan-out per experiment (see
-            :mod:`repro.sim.parallel`). Archived output is byte-identical
-            for any worker count, so neither it nor ``backend`` is
-            recorded in the manifest.
-        backend: ``auto`` (default), ``serial``, ``process`` or
-            ``vectorized`` (a serial plan runs each group as one chunk;
-            see :data:`~repro.sim.parallel.BACKENDS`), or
-            ``distributed`` (with ``queue_dir``; chunks run on ``m2hew
-            worker`` processes). Under each of them experiments that
-            share a workload recipe and network seed run as one trial
-            group on one realized network, fused into parameter-grid
-            chunks (:class:`~repro.sim.batched.GridBatchedSimulator`) —
-            still byte-identical to per-spec execution, under every
-            retry, checkpoint and chaos setting. The group's retry
-            budget and pool-breakage count span all of its specs.
-        chunk_size: Trials per dispatch unit (default: per trial index
-            when serial, every trial under ``vectorized``, auto when
-            pooled).
-        trial_timeout: Per-trial wall-clock budget in seconds.
+        max_workers: Trial fan-out per experiment: more than 1 runs a
+            process pool where the platform can host one (see
+            :func:`~repro.resilience.supervisor.run_trial_group`).
+            Archived output is byte-identical for any worker count, so
+            neither it nor ``backend`` is recorded in the manifest.
+        backend: ``auto`` (default) or ``vectorized`` (an in-process
+            group runs as one chunk; see
+            :data:`~repro.sim.parallel.BACKENDS`), or ``distributed``
+            (with ``queue_dir``; chunks run on ``m2hew worker``
+            processes). Under each of them experiments that share a
+            workload recipe and network seed run as one trial group on
+            one realized network, fused into parameter-grid chunks
+            (:class:`~repro.sim.batched.GridBatchedSimulator`) — still
+            byte-identical to per-spec execution, under every retry,
+            checkpoint and chaos setting. The group's retry budget and
+            pool-breakage count span all of its specs.
+        chunk_size: Trials per dispatch unit (default: auto when
+            pooled or queued, else per trial index, or every trial
+            under ``vectorized``).
+        trial_timeout: Per-trial wall-clock budget in seconds; only a
+            pool enforces it, so it needs ``max_workers > 1``.
         retry: Supervise execution with this retry/quarantine policy
             (see :class:`~repro.resilience.policy.RetryPolicy`) instead
             of failing the campaign on the first trial error.
@@ -341,10 +343,13 @@ def run_batch(
             chunks are published for ``m2hew worker`` processes on any
             host to claim, with this process coordinating — see
             :mod:`repro.resilience.distributed`. Archives stay
-            byte-identical for any worker count or kill schedule.
+            byte-identical for any worker count or kill schedule. It
+            takes no ``max_workers > 1``: the queue's workers are the
+            fan-out.
         lease: Optional
             :class:`~repro.resilience.distributed.LeasePolicy`
-            (cadence/TTL knobs for the queue protocol).
+            (cadence/TTL knobs for the queue protocol); only with
+            ``queue_dir``.
         on_progress: Optional observer called with ``(experiment name,
             trials completed, trials total)`` as each experiment
             advances (per collected chunk — per trial index on a

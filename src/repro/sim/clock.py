@@ -29,7 +29,7 @@ from __future__ import annotations
 import abc
 import bisect
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

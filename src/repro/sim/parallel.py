@@ -1,4 +1,4 @@
-"""Execution plans, chunk payloads and the fail-fast campaign entry points.
+"""Backends, chunk payloads and the fail-fast campaign entry points.
 
 Monte-Carlo campaigns are embarrassingly parallel: every trial is fully
 determined by ``(network, protocol, runner_params, trial seed)`` and the
@@ -9,11 +9,13 @@ chunk executors (:func:`repro.resilience.supervisor.run_trial_group`) —
 so every archived byte is identical for 1 worker and for 8, for a
 chunk of one trial and for a chunk of many. Every chunk runs through
 the grid engine (:func:`~repro.sim.runner.run_experiment_grid_batched`),
-which advances all of its eligible rows in one kernel pass. This module
-holds what that path shares with its worker processes (the execution
-plan, the chunk payload and its worker entry point :func:`_run_chunk`)
-and its two fail-fast entry points, :func:`run_spec_trials` and
-:func:`run_grid_spec_trials`.
+which advances all of its eligible rows in one kernel pass. A pool runs
+iff more than one worker is requested, no work queue is in play and
+:func:`pool_supported`; everything else runs in-process. This module
+holds what that path shares with its worker processes (the accepted
+backends, the chunk payload and its worker entry point
+:func:`_run_chunk`) and its two fail-fast entry points,
+:func:`run_spec_trials` and :func:`run_grid_spec_trials`.
 
 Determinism contract: seeds are derived in the parent, once, and ship
 inside the chunk payload; the workload is realized once per spec group
@@ -58,43 +60,24 @@ from .runner import run_experiment_grid_batched
 
 __all__ = [
     "BACKENDS",
-    "ParallelPlan",
     "default_chunk_size",
     "pool_supported",
-    "preferred_start_method",
-    "resolve_plan",
     "run_grid_spec_trials",
     "run_spec_trials",
 ]
 
-#: Accepted ``backend`` values: ``auto`` picks ``process`` when more
-#: than one worker is requested and the platform can host a pool,
-#: degrading to ``serial`` otherwise. ``vectorized`` behaves like
-#: ``auto`` except that a serial plan runs each group as one chunk (one
-#: grid pass over every trial) instead of one chunk per trial index.
-BACKENDS = ("auto", "serial", "process", "vectorized")
+#: Accepted ``backend`` values. Both run a process pool when more than
+#: one worker is requested and the platform can host one, and run
+#: in-process otherwise (see
+#: :func:`~repro.resilience.supervisor.run_trial_group`, the one place
+#: that decides). ``vectorized`` differs only in its in-process default
+#: chunk: one chunk of every trial (one grid pass) instead of one chunk
+#: per trial index.
+BACKENDS = ("auto", "vectorized")
 
 #: Default dispatch granularity: enough chunks that the pool stays busy
 #: (4 per worker) without shipping one pickle per cheap trial.
 _CHUNKS_PER_WORKER = 4
-
-
-@dataclass(frozen=True)
-class ParallelPlan:
-    """A resolved execution plan for one spec group's trials.
-
-    Attributes:
-        backend: ``"serial"`` or ``"process"`` (never ``"auto"``).
-        max_workers: Worker processes (1 for the serial backend).
-        chunk_size: Trials per dispatch unit.
-        start_method: Multiprocessing start method for the pool, or
-            ``None`` for the serial backend.
-    """
-
-    backend: str
-    max_workers: int
-    chunk_size: int
-    start_method: Optional[str]
 
 
 def pool_supported() -> bool:
@@ -105,19 +88,6 @@ def pool_supported() -> bool:
         return False
 
 
-def preferred_start_method() -> Optional[str]:
-    """``fork`` where available (cheap workers), else the platform default.
-
-    Results do not depend on the start method — trials are pure
-    functions of their shipped payload — so this is purely a dispatch
-    cost choice.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    if not methods:  # pragma: no cover - exotic hosts
-        return None
-    return "fork" if "fork" in methods else methods[0]
-
-
 def default_chunk_size(trials: int, max_workers: int) -> int:
     """Chunk size amortizing per-dispatch pickling over cheap trials."""
     if trials < 1:
@@ -125,64 +95,6 @@ def default_chunk_size(trials: int, max_workers: int) -> int:
     if max_workers < 1:
         raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
     return max(1, -(-trials // (max_workers * _CHUNKS_PER_WORKER)))
-
-
-def resolve_plan(
-    trials: int,
-    max_workers: int = 1,
-    backend: str = "auto",
-    chunk_size: Optional[int] = None,
-    start_method: Optional[str] = None,
-) -> ParallelPlan:
-    """Validate options and resolve the backend actually used.
-
-    Degradation rules: ``max_workers=1`` always runs serially;
-    ``backend="auto"`` (and ``"vectorized"``) fall back to serial when
-    the platform cannot host a pool; an *explicit* ``backend="process"``
-    on such a platform is a
-    :class:`~repro.exceptions.ConfigurationError` instead of a silent
-    behavior change.
-
-    Serial plans default to one chunk per trial index (one progress
-    report, one journal write and one replayable index per trial), or
-    to a single chunk of every trial under ``backend="vectorized"``.
-    """
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; choose from {BACKENDS}"
-        )
-    if max_workers < 1:
-        raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-
-    use_pool = backend == "process" or (
-        backend in ("auto", "vectorized") and max_workers > 1
-    )
-    if use_pool and not pool_supported():
-        if backend == "process":
-            raise ConfigurationError(
-                "backend='process' requested but this platform cannot "
-                "host a multiprocessing pool; use backend='auto'"
-            )
-        use_pool = False
-    if max_workers == 1:
-        use_pool = False
-
-    if not use_pool:
-        return ParallelPlan(
-            backend="serial",
-            max_workers=1,
-            chunk_size=chunk_size or (trials if backend == "vectorized" else 1),
-            start_method=None,
-        )
-    method = start_method or preferred_start_method()
-    return ParallelPlan(
-        backend="process",
-        max_workers=max_workers,
-        chunk_size=chunk_size or default_chunk_size(trials, max_workers),
-        start_method=method,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -295,14 +207,16 @@ def run_spec_trials(
         base_seed: Campaign root seed (``None`` draws OS entropy in the
             parent — still worker-count invariant, but not replayable).
         runner_params: Extra keyword arguments for the runners.
-        max_workers: Worker processes; 1 means serial.
+        max_workers: Worker processes; 1 runs in-process, more run a
+            pool where the platform can host one.
         backend: One of :data:`BACKENDS`.
         chunk_size: Trials per dispatch unit, each run as one grid pass
-            (default: per trial when serial, every trial when
-            ``backend="vectorized"``, auto when pooled).
+            (default: auto when pooled, else per trial, or every trial
+            when ``backend="vectorized"``).
         trial_timeout: Per-trial wall-clock budget in seconds; a pooled
             chunk gets ``trial_timeout × len(chunk)``. Exceeding it
-            aborts the campaign with :class:`TrialTimeoutError`.
+            aborts the campaign with :class:`TrialTimeoutError`. Only a
+            pool can enforce it, so it needs ``max_workers > 1``.
         experiment: Label used in error messages.
         on_progress: Optional observer called with ``(completed,
             trials)`` after every collected chunk (per trial on the
@@ -316,6 +230,8 @@ def run_spec_trials(
         TrialExecutionError: A trial raised (or the worker process
             died); carries the trial indices and base seed.
         TrialTimeoutError: A chunk exceeded its budget.
+        ConfigurationError: An invalid option, or ``trial_timeout``
+            without a pool to enforce it.
     """
     from ..resilience.supervisor import GroupEntry, run_trial_group
 
@@ -360,7 +276,7 @@ def run_grid_spec_trials(
     pin across G and B).
 
     The trial axis is chunked jointly (by default, one chunk of every
-    trial when serial): each chunk carries the participating trials of
+    trial in-process): each chunk carries the participating trials of
     all entries, and one kernel pass advances them together (see
     :func:`~repro.sim.runner.run_experiment_grid_batched` for the
     eligibility and stopping-condition grouping rules). ``on_progress``

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.base import Mode, SlotDecision, SynchronousProtocol
+from ..core.base import Mode, SynchronousProtocol
 from ..core.messages import HelloMessage
 from ..exceptions import ConfigurationError, SimulationError
 from ..net.network import M2HeWNetwork

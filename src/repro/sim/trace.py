@@ -13,7 +13,7 @@ stream for debugging and coverage estimation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.base import Mode

@@ -10,7 +10,7 @@ network an experiment ran on can be regenerated from its config + seed.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 

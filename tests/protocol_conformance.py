@@ -12,7 +12,7 @@ engine in between).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.base import Mode, SlotDecision, SynchronousProtocol
 from repro.core.registry import PROTOCOL_SPECS, ProtocolSpec, make_sync_factory

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis import alignment
 from repro.exceptions import ConfigurationError
-from repro.sim.clock import ConstantDriftClock, PerfectClock, PiecewiseDriftClock
+from repro.sim.clock import ConstantDriftClock, PerfectClock
 
 
 def frames(drift=0.0, offset_real=0.0, count=100, L=1.0, node_id=0, bound=None):

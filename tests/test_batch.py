@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.sim.batch import BatchOutcome, ExperimentSpec, run_batch
+from repro.sim.batch import ExperimentSpec, run_batch
 from repro.sim.results import result_from_dict
 from repro.workloads.generator import WorkloadConfig
 

@@ -8,8 +8,6 @@ optimization, exactly like worker fan-out.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -142,7 +140,7 @@ class TestBatchSizeInvariance:
 
     @pytest.mark.parametrize("chunk_size", [1, 4, 7, 32])
     def test_byte_identical_archives(self, tmp_path, chunk_size):
-        reference = self._archive(tmp_path, "serial", backend="serial")
+        reference = self._archive(tmp_path, "serial")
         vectorized = self._archive(
             tmp_path,
             f"vec{chunk_size}",
@@ -161,7 +159,6 @@ class TestBatchSizeInvariance:
             trials=9,
             base_seed=5,
             runner_params=self.PARAMS,
-            backend="serial",
         )
         for chunk_size in (1, 4, 7, 32):
             vectorized = run_spec_trials(
@@ -188,7 +185,6 @@ class TestVectorizedFallbacks:
             trials=2,
             base_seed=3,
             runner_params=params,
-            backend="serial",
         )
         vectorized = run_spec_trials(
             net,

@@ -255,17 +255,17 @@ class TestBatchCommand:
         assert args.output is None
 
     def test_arg_parsing_workers(self):
-        args = build_parser().parse_args(
-            ["batch", "rural_sparse", "--workers", "4", "--backend", "process"]
-        )
+        args = build_parser().parse_args(["batch", "rural_sparse", "--workers", "4"])
         assert args.workers == 4
-        assert args.backend == "process"
+        assert args.backend == "auto"
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["batch", "rural_sparse", "--backend", "threads"]
-            )
+        # serial and process are not backends: --workers picks the executor.
+        for backend in ("threads", "serial", "process"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["batch", "rural_sparse", "--backend", backend]
+                )
 
     def test_invalid_scenario_rejected(self):
         with pytest.raises(SystemExit):
@@ -282,6 +282,66 @@ class TestBatchCommand:
         )
         assert code == 2
         assert_one_line_error(capsys, "duplicate protocols")
+
+    def test_trial_timeout_without_pool_exits_2(self, capsys):
+        # The in-process loop never reads the budget; only a pool does.
+        code = main(
+            [
+                "batch",
+                "rural_sparse",
+                "--trials", "2",
+                "--protocols", "algorithm3", "mcdis",
+                "--trial-timeout", "0.0001",
+            ]
+        )
+        assert code == 2
+        assert_one_line_error(capsys, "timeout")
+
+    def test_lease_ttl_without_queue_exits_2(self, capsys):
+        code = main(
+            [
+                "batch",
+                "rural_sparse",
+                "--trials", "1",
+                "--protocols", "algorithm3",
+                "--lease-ttl", "0.001",
+            ]
+        )
+        assert code == 2
+        assert_one_line_error(capsys, "lease")
+
+    def test_workers_with_queue_exits_2(self, capsys, tmp_path):
+        code = main(
+            [
+                "batch",
+                "rural_sparse",
+                "--trials", "1",
+                "--protocols", "algorithm3",
+                "--workers", "2",
+                "--queue", str(tmp_path / "q"),
+            ]
+        )
+        assert code == 2
+        assert_one_line_error(capsys, "work queue")
+
+    def test_serve_refuses_workers_with_queue(self, capsys, tmp_path, monkeypatch):
+        from repro.service import CampaignService
+
+        async def never(*_args):
+            raise AssertionError("the service started")
+
+        monkeypatch.setattr(CampaignService, "run_forever", never)
+        code = main(
+            [
+                "serve",
+                "--data-dir", str(tmp_path / "svc"),
+                "--workers", "2",
+                "--queue", str(tmp_path / "q"),
+            ]
+        )
+        assert code == 2
+        assert_one_line_error(capsys, "work queue")
+        assert not (tmp_path / "svc").exists()
 
     def test_batch_runs_and_tabulates(self, capsys):
         code = main(

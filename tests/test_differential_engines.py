@@ -175,7 +175,6 @@ class TestParallelSerialIdentity:
             base_seed=77,
             runner_params=params,
             max_workers=2,
-            backend="process",
             chunk_size=1,
         )
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
@@ -196,9 +195,7 @@ class TestParallelSerialIdentity:
             runner_params={"delta_est": 4, "max_slots": 50_000},
         )
         serial = run_batch([spec], base_seed=5, max_workers=1)[0]
-        pooled = run_batch(
-            [spec], base_seed=5, max_workers=2, backend="process"
-        )[0]
+        pooled = run_batch([spec], base_seed=5, max_workers=2)[0]
         assert serial.as_row() == pooled.as_row()
         assert serial.network_params == pooled.network_params
         assert serial.completion.mean == pooled.completion.mean

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.analysis.energy import EnergyModel, energy_report
@@ -12,7 +11,6 @@ from repro.net import (
     NodeSpec,
     build_asymmetric_network,
     build_network,
-    channels,
     topology,
 )
 from repro.net.topology import DirectedTopology

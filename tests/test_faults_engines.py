@@ -276,7 +276,6 @@ class TestPoolInvariance:
             base_seed=3,
             output_dir=d2,
             max_workers=4,
-            backend="process",
             chunk_size=1,
         )
         for name in ("faulted.json", "manifest.json"):

@@ -428,7 +428,6 @@ class TestParallelGridDispatch:
             trials=trials,
             base_seed=21,
             runner_params=self.PARAMS,
-            backend="serial",
         )
 
     @pytest.mark.parametrize("chunk_size", [1, 4, 32])
@@ -448,7 +447,6 @@ class TestParallelGridDispatch:
             trials=3,
             base_seed=21,
             runner_params={**self.PARAMS, "erasure_prob": 0.15},
-            backend="serial",
         )
         assert per_entry[1] == expected_b
 
@@ -572,9 +570,8 @@ class TestBatchGridFusion:
     @pytest.mark.parametrize("chunk_size", [1, 4, 32])
     def test_archives_byte_identical_to_serial(self, tmp_path, chunk_size):
         specs = self._specs()
-        alone = solo_archives(specs, 77, tmp_path / "alone", backend="serial")
-        run_batch(specs, base_seed=77, output_dir=tmp_path / "serial",
-                  backend="serial")
+        alone = solo_archives(specs, 77, tmp_path / "alone")
+        run_batch(specs, base_seed=77, output_dir=tmp_path / "serial")
         run_batch(specs, base_seed=77, output_dir=tmp_path / "grid",
                   backend="vectorized", chunk_size=chunk_size)
         assert experiment_files(tmp_path / "grid") == alone

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis.stats import mean
 from repro.net import build_network, channels, topology

@@ -8,7 +8,6 @@ the shared channel sets, under each algorithm and both engines.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis.stats import mean
 from repro.core import bounds

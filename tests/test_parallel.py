@@ -1,4 +1,4 @@
-"""Tests for the process-pool trial execution backend."""
+"""Tests for the one execution plan and the process-pool trial executor."""
 
 from __future__ import annotations
 
@@ -15,15 +15,12 @@ from repro.exceptions import (
     TrialTimeoutError,
 )
 from repro.net import M2HeWNetwork, NodeSpec
-from repro.resilience.executor import PooledChunkExecutor
-from repro.resilience.supervisor import _chunk_states
+from repro.resilience.distributed import DistributedChunkExecutor, LeasePolicy
+from repro.resilience.executor import InProcessChunkExecutor, PooledChunkExecutor
+from repro.resilience.policy import RetryPolicy
+from repro.resilience.supervisor import GroupEntry, _chunk_states, run_trial_group
 from repro.sim.batch import ExperimentSpec, run_batch
-from repro.sim.parallel import (
-    default_chunk_size,
-    pool_supported,
-    resolve_plan,
-    run_spec_trials,
-)
+from repro.sim.parallel import default_chunk_size, run_spec_trials
 from repro.sim.rng import derive_trial_seed
 from repro.sim.runner import replay_trial, run_experiment_trial
 from repro.workloads.generator import WorkloadConfig, generate_network
@@ -50,49 +47,133 @@ def small_workload() -> WorkloadConfig:
 PARAMS = {"delta_est": 4, "max_slots": 30_000}
 
 
+@pytest.fixture
+def rungs(monkeypatch):
+    """Record every rung ``run_trial_group`` runs, with its pending chunks.
+
+    The pool rung only records (it forks nothing), so whatever it was
+    handed falls through to the in-process rung, which runs it.
+    """
+    seen = []
+
+    def spy(cls):
+        real_run = cls.run
+
+        def run(self, states, sup):
+            seen.append((cls.__name__, [s.indices for s in states if not s.done]))
+            if cls is not PooledChunkExecutor:
+                real_run(self, states, sup)
+
+        monkeypatch.setattr(cls, "run", run)
+
+    for cls in (PooledChunkExecutor, InProcessChunkExecutor, DistributedChunkExecutor):
+        spy(cls)
+    return seen
+
+
+def per_trial(trials):
+    return [(t,) for t in range(trials)]
+
+
+def _group(trials=12, **options):
+    """Run one spec point of ``trials`` trials through the one plan."""
+    (outcome,) = run_trial_group(
+        tiny_net(),
+        [GroupEntry("plan", "algorithm3", trials, PARAMS)],
+        base_seed=3,
+        **options,
+    )
+    return outcome
+
+
 class TestResolvePlan:
-    def test_single_worker_is_serial(self):
-        plan = resolve_plan(10, max_workers=1, backend="auto")
-        assert plan.backend == "serial"
-        assert plan.max_workers == 1
+    """How ``run_trial_group`` picks its executors and chunk size."""
 
-    def test_auto_multi_worker_uses_pool(self):
-        if not pool_supported():  # pragma: no cover - exotic hosts
-            pytest.skip("no multiprocessing on this platform")
-        plan = resolve_plan(10, max_workers=4, backend="auto")
-        assert plan.backend == "process"
-        assert plan.max_workers == 4
-        assert plan.start_method is not None
+    def test_single_worker_is_serial(self, rungs):
+        assert _group(max_workers=1).complete
+        assert rungs == [("InProcessChunkExecutor", per_trial(12))]
 
-    def test_explicit_serial_wins_over_workers(self):
-        plan = resolve_plan(10, max_workers=8, backend="serial")
-        assert plan.backend == "serial"
+    def test_auto_multi_worker_uses_pool(self, rungs, monkeypatch):
+        monkeypatch.setattr("repro.sim.parallel.pool_supported", lambda: True)
+        assert _group(max_workers=2).complete
+        # default_chunk_size(12, 2) == 2: about four chunks per worker.
+        chunks = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
+        assert rungs == [
+            ("PooledChunkExecutor", chunks),
+            ("InProcessChunkExecutor", chunks),
+        ]
 
-    def test_auto_degrades_without_pool_support(self, monkeypatch):
+    def test_auto_degrades_without_pool_support(self, rungs, monkeypatch):
         monkeypatch.setattr("repro.sim.parallel.pool_supported", lambda: False)
-        plan = resolve_plan(10, max_workers=8, backend="auto")
-        assert plan.backend == "serial"
+        assert _group(max_workers=8).complete
+        assert rungs == [("InProcessChunkExecutor", per_trial(12))]
 
-    def test_explicit_process_without_pool_support_raises(self, monkeypatch):
-        monkeypatch.setattr("repro.sim.parallel.pool_supported", lambda: False)
-        with pytest.raises(ConfigurationError, match="cannot host"):
-            resolve_plan(10, max_workers=8, backend="process")
+    def test_vectorized_runs_one_chunk_in_process(self, rungs):
+        assert _group(max_workers=1, backend="vectorized").complete
+        assert rungs == [("InProcessChunkExecutor", [tuple(range(12))])]
 
-    def test_process_with_one_worker_degrades(self):
-        plan = resolve_plan(10, max_workers=1, backend="process")
-        assert plan.backend == "serial"
+    def test_queue_runs_alone(self, rungs, tmp_path):
+        assert _group(trials=40, queue_dir=tmp_path / "q", policy=RetryPolicy()).complete
+        # default_chunk_size(40, 4): larger leases for workers to steal.
+        chunks = [tuple(range(lo, min(lo + 3, 40))) for lo in range(0, 40, 3)]
+        assert rungs[0] == ("DistributedChunkExecutor", chunks)
+        # With no live worker the coordinator runs each chunk itself,
+        # one in-process call per claimed lease; no rung follows it.
+        assert rungs[1:] == [("InProcessChunkExecutor", [c]) for c in chunks]
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            resolve_plan(10, backend="threads")
+        for backend in ("threads", "serial", "process"):
+            with pytest.raises(ConfigurationError, match="backend"):
+                _group(backend=backend)
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigurationError, match="max_workers"):
-            resolve_plan(10, max_workers=0)
+            _group(max_workers=0)
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError, match="chunk_size"):
-            resolve_plan(10, max_workers=2, chunk_size=0)
+            _group(max_workers=2, chunk_size=0)
+
+
+class TestIgnoredKnobsRefused:
+    """A knob none of the plan's executors reads is an error, not a no-op."""
+
+    def test_trial_timeout_without_pool(self, rungs):
+        with pytest.raises(ConfigurationError, match="timeout"):
+            _group(max_workers=1, trial_timeout=5.0)
+        assert rungs == []
+
+    def test_trial_timeout_on_host_without_pool(self, rungs, monkeypatch):
+        monkeypatch.setattr("repro.sim.parallel.pool_supported", lambda: False)
+        with pytest.raises(ConfigurationError, match="timeout"):
+            _group(max_workers=2, trial_timeout=5.0)
+        assert rungs == []
+
+    def test_lease_without_queue(self, rungs):
+        with pytest.raises(ConfigurationError, match="lease"):
+            _group(lease=LeasePolicy())
+        assert rungs == []
+
+    def test_workers_with_queue(self, tmp_path, monkeypatch):
+        built = []
+        real_init = PooledChunkExecutor.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PooledChunkExecutor, "__init__", spy)
+        spec = ExperimentSpec(
+            name="queued",
+            workload=small_workload(),
+            protocol="algorithm3",
+            trials=2,
+            runner_params=dict(PARAMS),
+        )
+        with pytest.raises(ConfigurationError, match="work queue"):
+            run_batch([spec], base_seed=1, max_workers=4, queue_dir=tmp_path / "q")
+        assert built == []
+        assert not (tmp_path / "q").exists()
 
 
 def chunk_indices(trials, chunk_size):
@@ -133,7 +214,6 @@ class TestWorkerCountInvariance:
             base_seed=3,
             runner_params=PARAMS,
             max_workers=3,
-            backend="process",
             chunk_size=2,
         )
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
@@ -148,7 +228,6 @@ class TestWorkerCountInvariance:
                 base_seed=9,
                 runner_params=PARAMS,
                 max_workers=2,
-                backend="process",
                 chunk_size=size,
             )
             for size in (1, 4)
@@ -164,7 +243,6 @@ class TestWorkerCountInvariance:
             base_seed=3,
             runner_params=PARAMS,
             max_workers=2,
-            backend="process",
             chunk_size=1,
         )
         # Trial t is replayable in-process from its derived seed; order
@@ -193,7 +271,6 @@ class TestWorkerCountInvariance:
             base_seed=1,
             output_dir=d2,
             max_workers=4,
-            backend="process",
             chunk_size=1,
         )
         for name in ("inv.json", "manifest.json"):
@@ -213,7 +290,6 @@ class TestFailurePropagation:
                 base_seed=5,
                 runner_params={"max_slots": 100},
                 max_workers=2,
-                backend="process",
                 chunk_size=1,
                 experiment="poison",
             )
@@ -318,7 +394,6 @@ def _pooled(trials, chunk_size, **kwargs):
         trials=trials,
         runner_params=PARAMS,
         max_workers=2,
-        backend="process",
         chunk_size=chunk_size,
         **kwargs,
     )
@@ -399,7 +474,6 @@ class TestAsyncProtocolFanOut:
             base_seed=2,
             runner_params=params,
             max_workers=3,
-            backend="process",
             chunk_size=1,
         )
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]

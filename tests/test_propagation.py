@@ -12,7 +12,7 @@ from repro.net.propagation import (
     channel_dependent_adjacency,
     channel_radius,
 )
-from repro.net.topology import Topology, line
+from repro.net.topology import line
 from repro.sim.runner import run_asynchronous, run_synchronous
 
 

@@ -10,7 +10,6 @@ On arbitrary small networks, whatever the algorithm and seed:
 from __future__ import annotations
 
 import hypothesis.strategies as st
-import numpy as np
 from hypothesis import given, settings
 
 from repro.net import M2HeWNetwork, NodeSpec

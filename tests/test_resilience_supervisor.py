@@ -200,7 +200,6 @@ class TestPooledSupervision:
             base_seed=7,
             runner_params=PARAMS,
             max_workers=2,
-            backend="process",
             chunk_size=2,
             chaos=parse_chaos_spec("raise@2"),
             policy=FAST_RETRY,
@@ -221,7 +220,6 @@ class TestPooledSupervision:
             base_seed=7,
             runner_params=PARAMS,
             max_workers=2,
-            backend="process",
             chunk_size=2,
             chaos=parse_chaos_spec("exit@0x3"),
             policy=RetryPolicy(base_delay=0.0, jitter=0.0, max_retries=4),
@@ -377,8 +375,8 @@ def clean_archive(tmp_path_factory):
     """
     root = tmp_path_factory.mktemp("clean")
     specs = _two_network_specs()
-    files = solo_archives(specs, 11, root / "alone", backend="serial")
-    run_batch(specs, base_seed=11, output_dir=root / "all", backend="serial")
+    files = solo_archives(specs, 11, root / "alone")
+    run_batch(specs, base_seed=11, output_dir=root / "all")
     assert experiment_files(root / "all") == files
     files["manifest.json"] = (root / "all" / "manifest.json").read_bytes()
     return files
@@ -451,20 +449,21 @@ class TestFusedErrorLabels:
 class TestOneDispatchPath:
     """Every policy and backend goes through the same chunk executors."""
 
-    @pytest.mark.parametrize("backend", ["serial", "process", "vectorized"])
+    @pytest.mark.parametrize(
+        "backend, workers",
+        [("auto", 1), ("auto", 2), ("vectorized", 1), ("vectorized", 2)],
+    )
     @pytest.mark.parametrize(
         "retry", [None, RetryPolicy()], ids=["fail-fast", "retry-policy"]
     )
     def test_archive_identical_for_every_policy_and_backend(
-        self, tmp_path, clean_archive, retry, backend
+        self, tmp_path, clean_archive, retry, backend, workers
     ):
-        if backend == "process" and not pool_supported():
-            pytest.skip("platform cannot host a pool")
         run_batch(
             _two_network_specs(),
             base_seed=11,
             output_dir=tmp_path / "out",
-            max_workers=2,
+            max_workers=workers,
             backend=backend,
             retry=retry,
         )

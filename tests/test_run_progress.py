@@ -72,7 +72,6 @@ class TestRunSpecTrialsObserver:
             trials=4,
             base_seed=0,
             runner_params=PARAMS,
-            backend="serial",
             on_progress=lambda done, total: events.append((done, total)),
         )
         assert len(results) == 4
@@ -137,7 +136,6 @@ class TestRunSpecTrialsObserver:
                 trials=4,
                 base_seed=0,
                 runner_params=PARAMS,
-                backend="serial",
                 on_progress=observer,
             )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.workloads.scenarios import SCENARIOS, scenario, scenario_names
+from repro.workloads.scenarios import scenario, scenario_names
 
 
 class TestRegistry:

@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.service.app import CampaignService
 from repro.service.campaigns import CampaignRequest, campaign_specs
 from repro.service.http import HttpError, HttpRequest
@@ -54,6 +55,16 @@ def variant(trials):
     payload = dict(PAYLOAD)
     payload["trials"] = trials
     return payload
+
+
+class TestStartup:
+    def test_refuses_workers_with_queue(self, tmp_path):
+        # Every job would refuse a pool beside the queue, so the service
+        # refuses it once, before it accepts any.
+        with pytest.raises(ConfigurationError, match="work queue"):
+            CampaignService(tmp_path / "svc", max_workers=2, queue_dir=tmp_path / "q")
+        CampaignService(tmp_path / "ok", max_workers=1, queue_dir=tmp_path / "q")
+        CampaignService(tmp_path / "pool", max_workers=2)
 
 
 class TestRoutingWithoutDispatcher:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
 import pytest
 
 from repro.core.base import SlotDecision, SynchronousProtocol

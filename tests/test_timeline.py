@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.alignment import synthesize_frames
 from repro.analysis.timeline import render_timeline, render_trace
 from repro.exceptions import ConfigurationError
-from repro.sim.clock import ConstantDriftClock, PerfectClock
+from repro.sim.clock import ConstantDriftClock
 
 
 def frames(node_id=0, drift=0.0, count=5, L=3.0):
