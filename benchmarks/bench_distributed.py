@@ -6,7 +6,12 @@ Records in ``BENCH_distributed.json`` at the repo root:
   over two real ``m2hew worker`` subprocesses through a lease-based
   file queue (coordinator overhead and IPC-through-filesystem cost
   included; worker start-up is not: the workers start once, before the
-  first round, and idle-poll the queue through the serial rounds too).
+  first round). The workers are paused (SIGSTOP) through each serial
+  round, so their idle polling does not share the cores with it, and
+  resumed before each sharded round, which waits for a fresh heartbeat
+  from each of them; pausing narrowed the serial rounds' spread
+  (interquartile range over median 0.16 → 0.07 and 0.13 → 0.09 in two
+  runs of 5 rounds per mode).
   One timing of a campaign this small is mostly noise, so the two sides
   run ``ROUNDS`` times each, interleaved (serial first in even rounds,
   sharded first in odd ones), and the record keeps every run plus each
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -115,6 +121,21 @@ def _await_heartbeats(queue: WorkQueue, count: int, timeout: float = 60.0) -> No
         time.sleep(0.05)
 
 
+def _await_fresh_heartbeats(queue: WorkQueue, timeout: float = 60.0) -> None:
+    """Wait until every worker has rewritten its heartbeat since now."""
+    seen = {w: queue.read_worker(w) for w in queue.list_workers()}
+    deadline = time.perf_counter() + timeout
+    while any(queue.read_worker(w) == beat for w, beat in seen.items()):
+        if time.perf_counter() > deadline:
+            raise RuntimeError("benchmark workers failed to resume")
+        time.sleep(0.05)
+
+
+def _pause(procs: list, paused: bool) -> None:
+    for proc in procs:
+        os.kill(proc.pid, signal.SIGSTOP if paused else signal.SIGCONT)
+
+
 def _spread(prefix: str, runs: list) -> dict:
     return {
         f"{prefix}_seconds": round(statistics.median(runs), 4),
@@ -143,9 +164,17 @@ def run_experiment() -> dict:
                     queue_dir=queue_dir,
                     lease=LEASE,
                 )
-            t0 = time.perf_counter()
-            run_batch(specs, base_seed=BASE_SEED, output_dir=out, **options)
-            runs[side].append(time.perf_counter() - t0)
+            if side == "serial":
+                _pause(procs, True)
+            else:
+                _await_fresh_heartbeats(queue)
+            try:
+                t0 = time.perf_counter()
+                run_batch(specs, base_seed=BASE_SEED, output_dir=out, **options)
+                runs[side].append(time.perf_counter() - t0)
+            finally:
+                if side == "serial":
+                    _pause(procs, False)
             archives.append(_archive_bytes(out))
 
         procs = [_spawn_worker(queue_dir, i) for i in range(WORKERS)]
@@ -157,6 +186,8 @@ def run_experiment() -> dict:
                     timed(side, root / f"{side}-{r}")
         finally:
             for proc in procs:
+                if proc.poll() is None:
+                    os.kill(proc.pid, signal.SIGCONT)
                 proc.terminate()
                 try:
                     proc.wait(timeout=30)

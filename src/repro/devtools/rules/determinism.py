@@ -278,15 +278,23 @@ def _axis_refs(node: ast.AST) -> Set[str]:
     return refs
 
 
+#: Function names (substrings) that run once per simulated slot or block
+#: of slots: the reference engine's slot body, and the grid engine's
+#: block body and its two draw steps.
+_HOT_PATHS = ("_run_slot", "_run_block", "_draw_block", "_draw_slot")
+
+
 class DensePerSlotAllocation(Rule):
     rule_id = "D107"
     title = "dense O(N²) allocation inside a per-slot hot path"
     rationale = (
-        "A `_run_slot` body executes once per simulated slot; allocating a "
-        "buffer whose shape repeats a size variable (N×N, C×N×N, …) there "
-        "makes every slot cost O(N²) in allocator traffic regardless of how "
-        "few nodes act. Hoist the buffer to __init__ or resolve reception "
-        "sparsely (repro.sim.batched.SparseReception)."
+        "A `_run_slot` body executes once per simulated slot, and the grid "
+        "engine's `_run_block` (with `_draw_block`/`_draw_slot`) once per "
+        "block of slots; allocating a buffer whose shape repeats a size "
+        "variable (N×N, C×N×N, …) there makes every slot or block cost "
+        "O(N²) in allocator traffic regardless of how few nodes act. Hoist "
+        "the buffer to __init__ or resolve reception sparsely "
+        "(repro.sim.batched.SparseReception)."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -295,7 +303,7 @@ class DensePerSlotAllocation(Rule):
         for fn in ast.walk(ctx.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if "_run_slot" not in fn.name:
+            if not any(hot in fn.name for hot in _HOT_PATHS):
                 continue
             for node in ast.walk(fn):
                 if not isinstance(node, ast.Call):
@@ -324,7 +332,7 @@ class DensePerSlotAllocation(Rule):
                         ctx,
                         node,
                         f"np.{parts[-1]} shape repeats `{dims}` — an O(N²) "
-                        f"allocation every slot in `{fn.name}`; preallocate "
+                        f"allocation every slot or block in `{fn.name}`; preallocate "
                         "in __init__ or use the sparse reception kernel",
                     )
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import abc
 import bisect
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -144,6 +145,13 @@ class OnOffTimeline(abc.ABC):
         """Whether the entity is on at instant ``time``."""
 
     @abc.abstractmethod
+    def next_change(self, time: float) -> float:
+        """The earliest instant after ``time`` at which :meth:`active_at`
+        may differ from its value at ``time`` (``inf`` when it never
+        will). The state is constant on ``[time, next_change(time))``,
+        which is what lets the slot engines skip re-checking until then."""
+
+    @abc.abstractmethod
     def overlaps_on(self, start: float, end: float) -> bool:
         """Whether any on-period intersects ``(start, end)`` with
         positive duration (used for interval receptions in the
@@ -160,6 +168,7 @@ class WindowTimeline(OnOffTimeline):
 
     def __init__(self, spec: FixedWindows) -> None:
         self._windows = spec.windows
+        self._edges = [edge for window in spec.windows for edge in window]
 
     def active_at(self, time: float) -> bool:
         for start, end in self._windows:
@@ -168,6 +177,11 @@ class WindowTimeline(OnOffTimeline):
             if start > time:
                 break
         return False
+
+    def next_change(self, time: float) -> float:
+        # Half-open windows: the state flips exactly at a start or an end.
+        i = bisect.bisect_right(self._edges, time)
+        return self._edges[i] if i < len(self._edges) else math.inf
 
     def overlaps_on(self, start: float, end: float) -> bool:
         for w_start, w_end in self._windows:
@@ -233,6 +247,11 @@ class RenewalTimeline(OnOffTimeline):
         if time < 0:
             return False
         return self._state(self._segment_of(time))
+
+    def next_change(self, time: float) -> float:
+        if time < 0:
+            return 0.0
+        return self._bounds[self._segment_of(time) + 1]
 
     def overlaps_on(self, start: float, end: float) -> bool:
         if end <= start:

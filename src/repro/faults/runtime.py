@@ -21,10 +21,13 @@ Engine integration surface (all cheap no-ops for absent families):
 * the reference slotted engine calls :meth:`FaultRuntime.begin_slot`
   once per slot, then :meth:`blocked`, :meth:`alive`,
   :meth:`join_offset` and :meth:`keep_delivery`;
-* the vectorized grid engine (:mod:`repro.sim.batched`) calls
-  :meth:`bind_dense` once per row, reads :meth:`join_offset` and
-  :meth:`crash_time` at construction, then per slot
-  :meth:`begin_slot`, :meth:`blocked_mask` and :meth:`keep_mask`;
+* the vectorized grid engine (:mod:`repro.sim.batched`) reads
+  :meth:`join_offset` and :meth:`crash_time` of each row's runtime at
+  construction and consults all of its rows at once through one
+  :class:`StackedFaults`: :meth:`StackedFaults.begin_block` once per
+  block of slots (a block ends before the next spectrum change any live
+  row may see) and :meth:`StackedFaults.keep` once per block with the
+  block's clear deliveries;
 * the asynchronous engine uses :meth:`blocked_during` (interval
   queries), :meth:`join_time`, :meth:`crash_time`, :meth:`wrap_clock`
   and :meth:`keep_delivery`.
@@ -52,7 +55,13 @@ from .models import (
 )
 from .plan import FaultPlan
 
-__all__ = ["FaultRuntime", "GlitchedClock", "TIME_UNITS", "compile_plan"]
+__all__ = [
+    "FaultRuntime",
+    "GlitchedClock",
+    "StackedFaults",
+    "TIME_UNITS",
+    "compile_plan",
+]
 
 #: Engine time units a runtime can be compiled for.
 TIME_UNITS = ("slots", "seconds")
@@ -259,16 +268,12 @@ class FaultRuntime:
         self.has_churn = bool(self._joins or self._crashes)
         self.has_clock_faults = bool(self._glitches)
 
-        # Spectrum state cache for the slot-synchronous engines.
+        # Spectrum state cache for the slot-synchronous engines: the
+        # flags hold at every instant before _next_change.
         self._active_flags = [False] * len(self._emitters)
-        self._mask_dirty = True
+        self._next_change = -math.inf
         self._events: List[Dict[str, Any]] = []
         self._events_dropped = 0
-
-        # Populated by bind_dense (vectorized engine only).
-        self._bound_ids: Optional[List[int]] = None
-        self._bound_rows: List[Optional[Tuple[int, np.ndarray]]] = []
-        self._mask: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -343,17 +348,34 @@ class FaultRuntime:
     # spectrum — synchronous (slot) interface
     # ------------------------------------------------------------------
 
-    def begin_slot(self, t: int) -> None:
-        """Advance spectrum state to slot ``t``; log on/off transitions."""
-        if not self.has_spectrum:
-            return
+    def begin_slot(self, t: int) -> bool:
+        """Advance spectrum state to slot ``t``; log on/off transitions.
+
+        Slots must not decrease between calls. Until
+        :attr:`next_spectrum_change` the state cannot change, so a call
+        before that instant returns at once. Returns whether any emitter
+        switched on or off.
+        """
+        if not self.has_spectrum or t < self._next_change:
+            return False
         now = float(t)
+        changed = False
+        upcoming = math.inf
         for i, emitter in enumerate(self._emitters):
             on = emitter.timeline.active_at(now)
             if on != self._active_flags[i]:
                 self._active_flags[i] = on
-                self._mask_dirty = True
+                changed = True
                 self._log_event(now, emitter, on)
+            upcoming = min(upcoming, emitter.timeline.next_change(now))
+        self._next_change = upcoming
+        return changed
+
+    @property
+    def next_spectrum_change(self) -> float:
+        """The earliest instant after the last :meth:`begin_slot` at which
+        any emitter may switch (``inf`` when none ever will)."""
+        return self._next_change if self.has_spectrum else math.inf
 
     def blocked(self, node_id: int, channel: int) -> bool:
         """Whether ``(node, channel)`` is unusable in the current slot."""
@@ -361,50 +383,6 @@ class FaultRuntime:
             if on and emitter.channel == channel and emitter.affects(node_id):
                 return True
         return False
-
-    def bind_dense(
-        self,
-        node_ids: Sequence[int],
-        dense_of_channel: Mapping[int, int],
-        num_dense: int,
-    ) -> None:
-        """Prepare vectorized views for the grid engine's node/channel
-        indexing (row = node index, column = dense channel index)."""
-        ids = list(node_ids)
-        index = {nid: i for i, nid in enumerate(ids)}
-        self._bound_ids = ids
-        self._bound_rows = []
-        for emitter in self._emitters:
-            k = dense_of_channel.get(emitter.channel)
-            if k is None:
-                self._bound_rows.append(None)
-                continue
-            if emitter.nodes is None:
-                rows = np.arange(len(ids), dtype=np.int64)
-            else:
-                rows = np.array(
-                    sorted(index[n] for n in emitter.nodes if n in index),
-                    dtype=np.int64,
-                )
-            self._bound_rows.append((k, rows))
-        self._mask = np.zeros((len(ids), num_dense), dtype=bool)
-        self._mask_dirty = True
-
-    def blocked_mask(self) -> np.ndarray:
-        """Boolean ``(num_nodes, num_dense)`` blocked matrix for the
-        current slot (requires :meth:`bind_dense`)."""
-        if self._mask is None:
-            raise ConfigurationError(
-                "blocked_mask requires bind_dense (vectorized engine only)"
-            )
-        if self._mask_dirty:
-            self._mask[:] = False
-            for bound, on in zip(self._bound_rows, self._active_flags):
-                if on and bound is not None:
-                    k, rows = bound
-                    self._mask[rows, k] = True
-            self._mask_dirty = False
-        return self._mask
 
     # ------------------------------------------------------------------
     # spectrum — asynchronous (interval) interface
@@ -463,39 +441,6 @@ class FaultRuntime:
                 return False
         return True
 
-    def keep_mask(
-        self,
-        sender_indices: np.ndarray,
-        receiver_indices: np.ndarray,
-        time: float,
-        engine_rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Vectorized loss hook for the grid engine (bound indices).
-
-        Bernoulli models draw one batch of uniforms per call — the
-        legacy ``erasure_prob`` shape exactly; link-state models draw
-        per still-kept delivery in array order.
-        """
-        if self._bound_ids is None:
-            raise ConfigurationError(
-                "keep_mask requires bind_dense (vectorized engine only)"
-            )
-        count = int(receiver_indices.size)
-        keep = np.ones(count, dtype=bool)
-        for loss in self._loss:
-            if isinstance(loss, _BernoulliLossRuntime):
-                keep &= engine_rng.random(count) >= loss.p
-            else:
-                for j in range(count):
-                    if keep[j]:
-                        keep[j] = loss.keep(
-                            self._bound_ids[int(sender_indices[j])],
-                            self._bound_ids[int(receiver_indices[j])],
-                            time,
-                            engine_rng,
-                        )
-        return keep
-
     # ------------------------------------------------------------------
     # clocks
     # ------------------------------------------------------------------
@@ -539,6 +484,322 @@ class FaultRuntime:
             "events": [dict(e) for e in self._events],
             "events_dropped": self._events_dropped,
         }
+
+
+class _BernoulliLayer:
+    """Rows whose plan has a :class:`BernoulliLoss` at one position.
+
+    Its coins come from each row's engine stream, one batch per row over
+    every delivery the row got (the legacy ``erasure_prob`` shape), so
+    the grid engine advances such rows one slot at a time.
+    """
+
+    def __init__(self, p: float, num_rows: int) -> None:
+        self.p = p
+        self.member = np.zeros(num_rows, dtype=bool)
+        self.everyone = False
+
+    def add(self, row: int, loss: _BernoulliLossRuntime) -> None:
+        self.member[row] = True
+
+    def apply(
+        self,
+        keep: np.ndarray,
+        rows: Optional[np.ndarray],
+        keys: np.ndarray,
+        slots: Any,
+        selected: Optional[np.ndarray],
+        engines: Sequence[np.random.Generator],
+    ) -> None:
+        if rows is None:
+            keep &= engines[0].random(keys.size) >= self.p
+            return
+        idx = np.arange(keys.size) if selected is None else selected.nonzero()[0]
+        # One slot per call: deliveries ascend by row.
+        of = rows[idx]
+        cuts = (np.flatnonzero(of[1:] != of[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [idx.size]):
+            part = idx[lo:hi]
+            keep[part] &= engines[int(of[lo])].random(hi - lo) >= self.p
+
+
+class _GilbertElliottLayer:
+    """Rows whose plan has one :class:`GilbertElliott` model at one position.
+
+    Link state is stacked over coverage keys ``r·L + e``: ``_last`` holds
+    the slot of the link's previous delivery (−1 before the first) and
+    ``_bad`` the state drawn then. Each row's coins come from its own
+    ``faults-ge-…`` stream in (slot, node) order, exactly the sequence
+    :meth:`_GilbertElliottRuntime.keep` draws delivery by delivery.
+    """
+
+    def __init__(self, loss: _GilbertElliottRuntime, num_keys: int, num_rows: int) -> None:
+        model = loss._model
+        self._pi = loss._pi_bad
+        self._rate = loss._rate
+        self._p_good = model.p_good
+        self._p_bad = model.p_bad
+        # Both states draw a loss coin, so every delivery costs exactly
+        # two coins and a block's coins can be drawn in one call.
+        self._two_coins = model.p_good > 0.0 and model.p_bad > 0.0
+        self.member = np.zeros(num_rows, dtype=bool)
+        self.everyone = False
+        self._rngs: Dict[int, np.random.Generator] = {}
+        self._last = np.full(num_keys, -1, dtype=np.int64)
+        self._bad = np.zeros(num_keys, dtype=bool)
+        self._decay = np.empty(0)
+
+    def add(self, row: int, loss: _GilbertElliottRuntime) -> None:
+        self.member[row] = True
+        self._rngs[row] = loss._rng
+
+    def _decay_of(self, delta: np.ndarray) -> np.ndarray:
+        """``math.exp(-rate·Δ)`` for integer gaps, from a growing table
+        (``np.exp`` need not round like ``math.exp``)."""
+        top = int(delta.max())
+        if top >= self._decay.size:
+            size = max(64, 1 << top.bit_length())
+            grown = [math.exp(-self._rate * float(d)) for d in range(self._decay.size, size)]
+            self._decay = np.concatenate([self._decay, np.array(grown)])
+        return self._decay[delta]
+
+    def apply(
+        self,
+        keep: np.ndarray,
+        rows: Optional[np.ndarray],
+        keys: np.ndarray,
+        slots: Any,
+        selected: Optional[np.ndarray],
+        engines: Sequence[np.random.Generator],
+    ) -> None:
+        # Only deliveries every earlier loss model kept draw coins.
+        idx = (keep if selected is None else selected & keep).nonzero()[0]
+        if not idx.size:
+            return
+        rows = np.zeros(idx.size, dtype=np.int64) if rows is None else rows[idx]
+        keys = keys[idx]
+        slots = np.full(idx.size, slots) if np.ndim(slots) == 0 else slots[idx]
+        # Per row in (slot, node) order: deliveries come slot-major.
+        order = np.argsort(rows, kind="stable")
+        if self._two_coins:
+            keep[idx] = self._resolve_pairs(rows, keys, slots, order)
+        else:
+            keep[idx] = self._resolve_each(rows, keys, slots, order)
+
+    def _resolve_pairs(
+        self, rows: np.ndarray, keys: np.ndarray, slots: np.ndarray, order: np.ndarray
+    ) -> np.ndarray:
+        by_row = rows[order]
+        cuts = (np.flatnonzero(np.diff(by_row)) + 1).tolist()
+        coins = np.concatenate(
+            [
+                self._rngs[int(by_row[lo])].random(2 * (hi - lo))
+                for lo, hi in zip([0] + cuts, cuts + [by_row.size])
+            ]
+        ).reshape(-1, 2)
+        pairs = np.empty_like(coins)
+        pairs[order] = coins
+        kept = np.empty(keys.size, dtype=bool)
+        # A link delivered on more than once resolves in occurrence
+        # rounds: round o takes every link's o-th delivery, after the
+        # state its (o−1)-th one left.
+        by_key = np.argsort(keys, kind="stable")
+        sorted_keys = keys[by_key]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        position = np.arange(keys.size)
+        rank = np.empty(keys.size, dtype=np.int64)
+        rank[by_key] = position - np.maximum.accumulate(np.where(first, position, 0))
+        rounds = int(rank.max()) + 1
+        for occurrence in range(rounds):
+            sub = position if rounds == 1 else (rank == occurrence).nonzero()[0]
+            key, slot = keys[sub], slots[sub]
+            last = self._last[key]
+            p_bad = np.full(sub.size, self._pi)
+            seen = last >= 0
+            if seen.any():
+                was_bad = self._bad[key[seen]].astype(np.float64)
+                p_bad[seen] = self._pi + (was_bad - self._pi) * self._decay_of(
+                    slot[seen] - last[seen]
+                )
+            is_bad = pairs[sub, 0] < p_bad
+            kept[sub] = ~(pairs[sub, 1] < np.where(is_bad, self._p_bad, self._p_good))
+            self._last[key] = slot
+            self._bad[key] = is_bad
+        return kept
+
+    def _resolve_each(
+        self, rows: np.ndarray, keys: np.ndarray, slots: np.ndarray, order: np.ndarray
+    ) -> np.ndarray:
+        # A state whose loss probability is 0 draws no loss coin, so the
+        # coin count depends on the drawn state: one delivery at a time.
+        kept = np.empty(keys.size, dtype=bool)
+        for i in order.tolist():
+            key, slot = int(keys[i]), int(slots[i])
+            rng = self._rngs[int(rows[i])]
+            last = int(self._last[key])
+            if last < 0:
+                p_bad = self._pi
+            else:
+                decay = math.exp(-self._rate * float(slot - last))
+                p_bad = self._pi + ((1.0 if self._bad[key] else 0.0) - self._pi) * decay
+            is_bad = bool(rng.random() < p_bad)
+            self._last[key] = slot
+            self._bad[key] = is_bad
+            p_loss = self._p_bad if is_bad else self._p_good
+            kept[i] = True if p_loss <= 0.0 else not rng.random() < p_loss
+        return kept
+
+
+class StackedFaults:
+    """Every row's :class:`FaultRuntime`, stacked for the grid engine.
+
+    The grid engine (:mod:`repro.sim.batched`) lays ``R`` trial rows out
+    flat: node ``i`` of row ``r`` is index ``r·N + i`` and link ``e`` of
+    row ``r`` is coverage key ``r·L + e``. This view keeps the rows'
+    spectrum and link-loss state over that layout, so the engine consults
+    all rows with a few array operations per block of slots:
+
+    * one ``(R·N·C)`` blocked mask, rewritten for a row only when one of
+      its emitters switches (:meth:`begin_block`);
+    * Gilbert–Elliott link state in ``(R·L)`` arrays, its coins drawn in
+      one call per row per block from the row's own stream (:meth:`keep`).
+
+    Rows and their random streams stay independent: row ``r`` draws
+    exactly what its runtime's scalar hooks would draw for the same
+    deliveries, so blocking never changes a row's trajectory. Bernoulli
+    loss draws from the engine stream after reception, so rows that have
+    it (:attr:`engine_rows`) must be advanced one slot per block.
+    """
+
+    def __init__(
+        self,
+        runtimes: Sequence[Optional[FaultRuntime]],
+        node_ids: Sequence[int],
+        dense_of_channel: Mapping[int, int],
+        num_dense: int,
+        num_links: int,
+    ) -> None:
+        index = {nid: i for i, nid in enumerate(node_ids)}
+        n = len(node_ids)
+        num_rows = len(runtimes)
+        self._runtimes = runtimes
+        self._num_links = num_links
+
+        # Spectrum: each emitter as (dense channel, node indices).
+        self._emitters: Dict[int, List[Optional[Tuple[int, np.ndarray]]]] = {}
+        for r, runtime in enumerate(runtimes):
+            if runtime is None or not runtime.has_spectrum:
+                continue
+            bound: List[Optional[Tuple[int, np.ndarray]]] = []
+            for emitter in runtime._emitters:
+                k = dense_of_channel.get(emitter.channel)
+                if k is None:
+                    bound.append(None)
+                elif emitter.nodes is None:
+                    bound.append((k, np.arange(n)))
+                else:
+                    nodes = sorted(index[nid] for nid in emitter.nodes if nid in index)
+                    bound.append((k, np.array(nodes, dtype=np.int64)))
+            self._emitters[r] = bound
+        #: Rows with at least one spectrum emitter, ascending.
+        self.spectrum_rows: List[int] = sorted(self._emitters)
+        self._blocked = np.zeros(
+            (num_rows if self._emitters else 0, n, num_dense), dtype=bool
+        )
+        self._on = [False] * num_rows
+        #: ``gather_base[r·N + i] + k`` indexes (row r, node i, channel k)
+        #: in the flat mask :meth:`begin_block` returns.
+        self.gather_base = np.arange(num_rows * n) * num_dense
+
+        # Loss: one layer per (position in the plan's loss list, model),
+        # applied in position order, as each row's runtime applies them.
+        layers: Dict[Tuple[int, Any], Any] = {}
+        for r, runtime in enumerate(runtimes):
+            for position, loss in enumerate(runtime._loss if runtime else ()):
+                if isinstance(loss, _BernoulliLossRuntime):
+                    key: Tuple[int, Any] = (position, loss.p)
+                    if key not in layers:
+                        layers[key] = _BernoulliLayer(loss.p, num_rows)
+                else:
+                    key = (position, loss._model)
+                    if key not in layers:
+                        layers[key] = _GilbertElliottLayer(
+                            loss, num_rows * num_links, num_rows
+                        )
+                layers[key].add(r, loss)
+        self._layers = [layers[key] for key in sorted(layers, key=lambda k: k[0])]
+        for layer in self._layers:
+            layer.everyone = bool(layer.member.all())
+        # One row: every delivery is row 0's.
+        self._many_rows = num_rows > 1
+        #: Whether any row has a loss model.
+        self.has_loss = bool(self._layers)
+        #: Rows whose loss coins come from the engine stream.
+        self.engine_rows = frozenset(
+            r
+            for layer in self._layers
+            if isinstance(layer, _BernoulliLayer)
+            for r in layer.member.nonzero()[0].tolist()
+        )
+
+    def begin_block(
+        self, t: int, rows: Sequence[int]
+    ) -> Tuple[float, Optional[np.ndarray]]:
+        """Advance ``rows``' spectrum to slot ``t``.
+
+        Returns the earliest instant after ``t`` at which any of those
+        rows' spectrum may change, and the flat ``(R·N·C)`` blocked mask
+        (see :attr:`gather_base`), or ``None`` while none of those rows
+        has an emitter on.
+        """
+        upcoming = math.inf
+        on = False
+        for r in rows:
+            runtime = self._runtimes[r]
+            assert runtime is not None
+            if runtime.begin_slot(t):
+                self._paint(r, runtime)
+            upcoming = min(upcoming, runtime.next_spectrum_change)
+            on = on or self._on[r]
+        return upcoming, (self._blocked.reshape(-1) if on else None)
+
+    def _paint(self, r: int, runtime: FaultRuntime) -> None:
+        mask = self._blocked[r]
+        mask[:] = False
+        on = False
+        for bound, active in zip(self._emitters[r], runtime._active_flags):
+            if active and bound is not None:
+                k, nodes = bound
+                mask[nodes, k] = True
+                on = True
+        self._on[r] = on
+
+    def keep(
+        self,
+        keys: np.ndarray,
+        slots: Any,
+        engines: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """Which clear deliveries survive every row's loss models.
+
+        Args:
+            keys: Coverage keys ``r·L + e`` of the deliveries, slot-major
+                (slot, then row, then receiver, the order reception
+                reports them in).
+            slots: Each delivery's slot, or one slot for them all.
+            engines: Each row's engine stream (Bernoulli coins).
+        """
+        rows = keys // self._num_links if self._many_rows else None
+        keep = np.ones(keys.size, dtype=bool)
+        for layer in self._layers:
+            if layer.everyone:
+                layer.apply(keep, rows, keys, slots, None, engines)
+                continue
+            selected = layer.member[rows]
+            if selected.any():
+                layer.apply(keep, rows, keys, slots, selected, engines)
+        return keep
 
 
 def compile_plan(

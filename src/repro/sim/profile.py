@@ -7,8 +7,10 @@ reception kernel, delivery/coverage updates, result building.
 :class:`SlotProfiler` accumulates wall-clock seconds and lap counts per
 phase so ``benchmarks/bench_slot_profile.py`` (and anyone chasing a
 regression) can see *where* a slot's time goes instead of guessing from
-totals. Every slot that ends early laps the phase it ends in, so the
-phases add up to the whole run.
+totals. The engine advances in blocks of slots, so one lap spans one
+phase of a whole block and ``laps`` counts blocks. Every block that
+ends early laps the phase it ends in, so the phases add up to the whole
+run.
 
 The engine's rows are independent and its output is invariant to the
 grid's ``G`` and ``B``, pinned by the engine goldens and the grid tests;
@@ -35,8 +37,8 @@ from typing import Dict, List, Tuple
 
 __all__ = ["PHASES", "SlotProfiler"]
 
-#: Phase names the engine marks, in hot-loop order. A slot that ends
-#: early laps the phase it ends in and skips the later ones; the
+#: Phase names the engine marks, in hot-loop order. A block of slots
+#: that ends early laps the phase it ends in and skips the later ones; the
 #: profiler accepts any label but the benchmark reports these in this
 #: order.
 PHASES: Tuple[str, ...] = (

@@ -219,6 +219,22 @@ class TestD107DensePerSlotAllocation:
         """
         assert "D107" in rule_ids(check(src, rule="D107"))
 
+    def test_flags_dense_alloc_in_block_loop(self):
+        # The grid engine's per-block body and its draw steps are hot
+        # paths too.
+        src = """
+        import numpy as np
+
+        class Engine:
+            def _run_block(self, t, remaining, n):
+                return np.zeros((n, n), dtype=bool)
+
+            def _draw_block(self, k, n):
+                return np.empty((k, n, n))
+        """
+        findings = check(src, rule="D107")
+        assert [f.rule_id for f in findings] == ["D107", "D107"]
+
     def test_attribute_dims_flagged(self):
         src = """
         import numpy as np

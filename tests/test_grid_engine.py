@@ -84,6 +84,19 @@ def serial_reference(net, grid_cell, stopping, *, seed_base=0):
     return out
 
 
+def generator_reference(net, grid_cell, stopping, *, seed_base=0):
+    """The same rows with the draw decode's proof forced to fail, so the
+    engine draws with generator calls one slot at a time."""
+    import repro.sim.batched as batched
+
+    saved = batched._decode_proven
+    batched._decode_proven = lambda stream, sizes: None
+    try:
+        return serial_reference(net, grid_cell, stopping, seed_base=seed_base)
+    finally:
+        batched._decode_proven = saved
+
+
 class TestGridMatchesSerial:
     """Bit-for-bit agreement for every (G, B) composition."""
 
@@ -198,21 +211,26 @@ class TestBudgetEdges:
 class TestInternalBranches:
     """The specialized fast paths and their general fallbacks agree."""
 
-    def test_scalar_size_fast_path_taken_and_equal(self):
-        # Homogeneous |A(u)|: the scalar-bound channel draw is used.
+    def test_decode_engages_for_homogeneous_sizes(self):
+        # Homogeneous |A(u)| = 3: the raw-word decode is proven and its
+        # blocks match the generator calls slot by slot.
         net = homogeneous_net()
         c = cell(net, "algorithm2", 4, delta_est=None)
+        stopping = StoppingCondition(max_slots=300, stop_on_full_coverage=True)
         sim = GridBatchedSimulator(net, [c])
-        assert sim._scalar_size is not None
+        assert sim._proven
+        assert sim.run(stopping) == generator_reference(net, c, stopping)
 
-    def test_scalar_size_none_branch(self):
-        # Heterogeneous |A(u)| forces the array-bound draw.
+    def test_decode_engages_for_heterogeneous_sizes(self):
         net = heterogeneous_net()
         c = cell(net, "algorithm2", 4, delta_est=None)
         stopping = StoppingCondition(max_slots=300, stop_on_full_coverage=True)
         sim = GridBatchedSimulator(net, [c])
-        assert sim._scalar_size is None
+        assert sim._proven
         assert sim.run(stopping) == serial_reference(net, c, stopping)
+        assert serial_reference(net, c, stopping) == generator_reference(
+            net, c, stopping
+        )
 
     def test_shared_offsets_none_branch(self):
         # Different per-cell offsets: each cell evaluates its schedule
@@ -261,44 +279,50 @@ def pow2_net(n: int = 12):
 
 
 class TestRawPickFastPath:
-    """The raw-word channel draw: engaged only when provably identical."""
+    """The raw-word draw decode: proven per row, identical to the
+    generator calls for every |A(u)| and node count."""
 
     def test_engaged_and_byte_identical(self):
         net = pow2_net()
         c = cell(net, "algorithm1", 4)
         stopping = StoppingCondition(max_slots=400, stop_on_full_coverage=True)
         sim = GridBatchedSimulator(net, [c])
-        assert sim._raw_shift is not None
+        assert sim._proven
         assert sim.run(stopping) == serial_reference(net, c, stopping)
-
-    def test_non_pow2_size_falls_back(self):
-        net = homogeneous_net()  # |A(u)| = 3: masked draw has rejection
-        sim = GridBatchedSimulator(
-            net, [cell(net, "algorithm2", 2, delta_est=None)]
+        assert serial_reference(net, c, stopping) == generator_reference(
+            net, c, stopping
         )
-        assert sim._scalar_size == 3
-        assert sim._raw_shift is None
 
-    def test_odd_node_count_falls_back(self):
-        # An odd draw count leaves a buffered 32-bit half inside the
-        # bit generator that raw words cannot replicate.
+    def test_non_pow2_size_engages(self):
+        net = homogeneous_net()  # |A(u)| = 3: Lemire's rejection possible
+        c = cell(net, "algorithm2", 2, delta_est=None)
+        stopping = StoppingCondition(max_slots=300, stop_on_full_coverage=True)
+        sim = GridBatchedSimulator(net, [c])
+        assert sim._proven
+        assert sim.run(stopping) == generator_reference(net, c, stopping)
+
+    def test_odd_node_count_engages(self):
+        # An odd half count leaves a spare half buffered between slots;
+        # the decode carries it.
         rng = np.random.default_rng(23)
         topo = topology.random_geometric(11, 0.6, rng)
         net = build_network(
             topo, channels.uniform_random_subsets(11, 6, 4, rng)
         )
-        sim = GridBatchedSimulator(
-            net, [cell(net, "algorithm2", 2, delta_est=None)]
-        )
-        assert sim._scalar_size == 4
-        assert sim._raw_shift is None
+        c = cell(net, "algorithm2", 2, delta_est=None)
+        stopping = StoppingCondition(max_slots=300, stop_on_full_coverage=True)
+        sim = GridBatchedSimulator(net, [c])
+        assert sim._proven
+        assert sim.run(stopping) == generator_reference(net, c, stopping)
 
     def test_verifier_leaves_live_stream_untouched(self):
-        from repro.sim.batched import _raw_pick_verified
+        from repro.sim.batched import _decode_proven
 
         g = RngFactory(derive_trial_seed(BASE_SEED, 0)).stream("pick")
+        g.integers(0, 3)  # leave a spare half pending
         before = g.bit_generator.state
-        assert _raw_pick_verified(g, 4, 12)
+        proof = _decode_proven(g, np.array([3, 1, 4, 4, 2], dtype=np.int64))
+        assert proof == (1, before["uinteger"])
         assert g.bit_generator.state == before
 
 
@@ -329,10 +353,14 @@ class TestProfiler:
         assert abs(sum(p["share"] for p in snap.values()) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("batch", [1, 3])
-    def test_every_slot_laps_its_draws(self, batch):
+    def test_every_slot_laps_its_draws(self, batch, monkeypatch):
         # A slot with no transmitter or no listener ends right after its
         # decision draws; it must still lap them. Without joins or churn
         # every slot evaluates the schedule, so the two lap counts match.
+        # One-slot blocks make every lap a slot's.
+        import repro.sim.batched as batched
+
+        monkeypatch.setattr(batched, "_MAX_BLOCK", 1)
         net = homogeneous_net(6)
         stopping = StoppingCondition(max_slots=200, stop_on_full_coverage=True)
         if batch == 1:
