@@ -137,6 +137,16 @@ class DirectedTopology:
         return sum(1 for (u, v) in self.pairs if (v, u) not in pair_set)
 
 
+def _distances_from(coords: np.ndarray, u: int, first: int) -> np.ndarray:
+    """Distances from node ``u`` to nodes ``first..``, one ``np.hypot`` per row.
+
+    Each entry is bit-for-bit the scalar ``np.hypot(*(coords[u] -
+    coords[v]))``: the same subtractions, then the same hypot per pair.
+    """
+    rest = coords[first:]
+    return np.hypot(coords[u, 0] - rest[:, 0], coords[u, 1] - rest[:, 1])
+
+
 def asymmetric_random_geometric(
     num_nodes: int,
     min_range: float,
@@ -164,11 +174,9 @@ def asymmetric_random_geometric(
     }
     pairs: AdjacencyPairs = []
     for u in range(num_nodes):
-        for v in range(num_nodes):
-            if u == v:
-                continue
-            if np.hypot(*(coords[u] - coords[v])) <= ranges[u]:
-                pairs.append((u, v))  # v hears u
+        heard = _distances_from(coords, u, 0) <= ranges[u]
+        heard[u] = False
+        pairs.extend((u, v) for v in heard.nonzero()[0].tolist())  # v hears u
     return DirectedTopology(
         num_nodes=num_nodes,
         pairs=pairs,
@@ -208,9 +216,9 @@ def random_geometric(
     for _ in range(max_attempts):
         coords = rng.uniform(0.0, area, size=(num_nodes, 2))
         pairs: AdjacencyPairs = []
-        for u, v in itertools.combinations(range(num_nodes), 2):
-            if np.hypot(*(coords[u] - coords[v])) <= radius:
-                pairs.append((u, v))
+        for u in range(num_nodes - 1):
+            near = (_distances_from(coords, u, u + 1) <= radius).nonzero()[0]
+            pairs.extend((u, v) for v in (near + (u + 1)).tolist())
         topo = Topology(
             num_nodes=num_nodes,
             pairs=pairs,

@@ -39,11 +39,14 @@ archive cannot change: resolution is by trial index, never by
 completion order. Worker kills, shard counts and lease-expiry races
 may change *when* and *where* a trial ran — never what it computed.
 
-Every sidecar this module writes (task specs, leases, markers,
+Every sidecar this module parses (task specs, leases, markers,
 heartbeats) is read through
 :func:`~repro.resilience.checkpoint.load_sidecar`, so a file torn by a
 worker dying mid-write reads as absent and is simply rewritten —
-crash tolerance matches the journal's own torn-final-line rule.
+crash tolerance matches the journal's own torn-final-line rule. Workers
+parse no done, fail or lease marker: they skip a chunk while one
+exists, and the coordinator deletes a done or fail marker that exists
+but does not load.
 """
 
 from __future__ import annotations
@@ -452,11 +455,13 @@ class QueueWorker:
             if not isinstance(chunks, list):
                 continue
             for chunk_no in range(len(chunks)):
-                if self.queue.read_marker(task_id, chunk_no, "done") is not None:
-                    continue
-                if self.queue.read_marker(task_id, chunk_no, "fail") is not None:
-                    continue  # the coordinator owns failed chunks
-                if self.queue.read_marker(task_id, chunk_no, "lease") is not None:
+                # Presence settles it, unparsed: a done marker carries the
+                # chunk's results, the coordinator clears any marker it
+                # cannot load, and it owns failed chunks.
+                if any(
+                    self.queue.marker_path(task_id, chunk_no, kind).exists()
+                    for kind in ("done", "fail", "lease")
+                ):
                     continue
                 retry = self.queue.read_marker(task_id, chunk_no, "retry")
                 attempt = 0
@@ -609,6 +614,8 @@ class DistributedChunkExecutor(ChunkExecutor):
         self, task_id: str, chunk_no: int, state: _ChunkState, sup: _Supervision
     ) -> bool:
         done = self.queue.read_marker(task_id, chunk_no, "done")
+        if done is None and self._unloadable(task_id, chunk_no, "done"):
+            return True
         if done is not None:
             results_json = done.get("results")
             if (
@@ -626,6 +633,8 @@ class DistributedChunkExecutor(ChunkExecutor):
                 self.queue.clear_marker(task_id, chunk_no, "done")
             return True
         fail = self.queue.read_marker(task_id, chunk_no, "fail")
+        if fail is None and self._unloadable(task_id, chunk_no, "fail"):
+            return True
         if fail is not None:
             self.queue.clear_marker(task_id, chunk_no, "fail")
             exc = RemoteWorkerFailure(
@@ -646,6 +655,22 @@ class DistributedChunkExecutor(ChunkExecutor):
         if lease is not None:
             return self._tend_lease(task_id, chunk_no, state, lease, sup)
         return self._maybe_self_execute(task_id, chunk_no, state, sup)
+
+    def _unloadable(self, task_id: str, chunk_no: int, kind: str) -> bool:
+        """Whether a marker that did not load exists; clear it if damaged.
+
+        Workers skip a chunk while its done or fail marker merely
+        exists, so a damaged one (torn or corrupted on disk) would
+        block the chunk forever. Clearing it makes the chunk claimable
+        again, as reclamation does for a torn lease. The marker is read
+        once more first: a worker's write may have landed since the
+        caller's read, and the next scan takes it.
+        """
+        if not self.queue.marker_path(task_id, chunk_no, kind).exists():
+            return False
+        if self.queue.read_marker(task_id, chunk_no, kind) is None:
+            self.queue.clear_marker(task_id, chunk_no, kind)
+        return True
 
     def _tend_lease(
         self,

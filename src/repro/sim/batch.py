@@ -53,7 +53,7 @@ from ..resilience.policy import RetryPolicy
 from ..resilience.verify import ARCHIVE_SCHEMA_VERSION
 from ..workloads.generator import WorkloadConfig, generate_network
 from ..core.registry import ASYNCHRONOUS_PROTOCOLS
-from .results import DiscoveryResult
+from .results import DiscoveryResult, indented_json
 from .runner import SYNC_PROTOCOLS
 
 if TYPE_CHECKING:  # import cycle: resilience.supervisor dispatches via sim
@@ -419,22 +419,7 @@ def _archive(
     quarantined: List[Dict[str, Any]] = []
     downgrades: List[Dict[str, Any]] = []
     for outcome in outcomes:
-        payload = {
-            "schema_version": ARCHIVE_SCHEMA_VERSION,
-            "spec": {
-                "name": outcome.spec.name,
-                "protocol": outcome.spec.protocol,
-                "trials": outcome.spec.trials,
-                "network_seed": outcome.spec.network_seed,
-                "workload": outcome.spec.workload.describe(),
-                "runner_params": _archived_runner_params(
-                    outcome.spec.runner_params
-                ),
-            },
-            "network_params": outcome.network_params,
-            "trials": [r.to_dict() for r in outcome.results],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = _payload_text(outcome)
         atomic_write_text(out / f"{outcome.spec.name}.json", text)
         manifest["experiments"].append(
             {
@@ -460,6 +445,49 @@ def _archive(
         }
     atomic_write_text(
         out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True)
+    )
+
+
+def _archived_spec(spec: ExperimentSpec) -> Dict[str, Any]:
+    """The ``spec`` entry of an experiment file."""
+    return {
+        "name": spec.name,
+        "protocol": spec.protocol,
+        "trials": spec.trials,
+        "network_seed": spec.network_seed,
+        "workload": spec.workload.describe(),
+        "runner_params": _archived_runner_params(spec.runner_params),
+    }
+
+
+def _payload_text(outcome: BatchOutcome) -> str:
+    """One experiment file, as ``json.dumps(indent=2, sort_keys=True)`` of::
+
+        {"network_params": ..., "schema_version": ...,
+         "spec": _archived_spec(...), "trials": [DiscoveryResult.to_dict(), ...]}
+
+    composed in that (sorted) key order, each trial through
+    :meth:`~repro.sim.results.DiscoveryResult.to_json`, so the bytes
+    are the stdlib's without its pure-Python indent encoder.
+    """
+    if outcome.results:
+        trials = (
+            "[\n    "
+            + ",\n    ".join([r.to_json(2) for r in outcome.results])
+            + "\n  ]"
+        )
+    else:
+        trials = "[]"
+    return (
+        '{\n  "network_params": '
+        + indented_json(outcome.network_params, 1)
+        + ',\n  "schema_version": '
+        + indented_json(ARCHIVE_SCHEMA_VERSION, 1)
+        + ',\n  "spec": '
+        + indented_json(_archived_spec(outcome.spec), 1)
+        + ',\n  "trials": '
+        + trials
+        + "\n}"
     )
 
 

@@ -32,7 +32,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import pytest
 
@@ -40,6 +40,7 @@ from repro.faults import ClockGlitch, FaultPlan, NodeChurn
 from repro.faults.activity import RenewalActivity
 from repro.faults.presets import fault_preset, fault_preset_names
 from repro.net import M2HeWNetwork
+from repro.sim.results import DiscoveryResult
 from repro.sim.runner import run_asynchronous
 from repro.sim.termination_runner import run_terminating_async
 from repro.sim.trace import ExecutionTrace
@@ -80,8 +81,8 @@ class AsyncCase:
     faults: Optional[str] = None
     kind: str = "run"
 
-    def execute(self) -> Any:
-        """Run the case; return the JSON-ready payload its digest covers."""
+    def run(self) -> Tuple[DiscoveryResult, Dict[str, Any]]:
+        """Run the case: its result, and the extras its digest also covers."""
         net = network(self.scenario)
         delta_est = scenario(self.scenario).delta_est
         max_frames = self.max_frames
@@ -99,8 +100,7 @@ class AsyncCase:
                 clock_model=self.clock_model,
                 start_spread=self.start_spread,
             )
-            return {
-                "result": outcome.result.to_dict(),
+            return outcome.result, {
                 "terminated_at": {str(k): v for k, v in outcome.terminated_at.items()},
                 "false_stops": outcome.false_stops,
             }
@@ -120,17 +120,27 @@ class AsyncCase:
             faults=_faults(self.faults, self.scenario),
         )
         if trace is None:
-            return result.to_dict()
+            return result, {}
         frames = [
             [f.node_id, f.frame_index, list(f.slot_bounds), f.mode.value, f.channel]
             for nid in trace.node_ids
             for f in trace.frames_of(nid)
         ]
-        return {"result": result.to_dict(), "frames": frames}
+        return result, {"frames": frames}
 
-    def digest(self) -> str:
-        text = json.dumps(self.execute(), sort_keys=True)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+@lru_cache(maxsize=None)
+def case_run(name: str) -> Tuple[DiscoveryResult, Dict[str, Any]]:
+    """The named case's run (cached: the archive-writer tests render it)."""
+    return CASES[name].run()
+
+
+def digest(name: str) -> str:
+    """sha256 of the JSON-ready payload: the result, plus any extras."""
+    result, extras = case_run(name)
+    payload = {"result": result.to_dict(), **extras} if extras else result.to_dict()
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 _NETWORKS = (
@@ -223,11 +233,11 @@ GOLDEN_DIGESTS: Dict[str, str] = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_async_engine_matches_golden(name):
-    assert CASES[name].digest() == GOLDEN_DIGESTS[name]
+    assert digest(name) == GOLDEN_DIGESTS[name]
 
 
 if __name__ == "__main__":
     print("GOLDEN_DIGESTS: Dict[str, str] = {")
     for name in sorted(CASES):
-        print(f'    "{name}": "{CASES[name].digest()}",')
+        print(f'    "{name}": "{digest(name)}",')
     print("}")

@@ -288,6 +288,26 @@ class TestWorkQueue:
         assert late.executed == 0
         assert sorted(p.name for p in queue.tasks_dir.iterdir()) == []
 
+    def test_worker_skips_settled_chunks_unparsed(self, tmp_path, monkeypatch):
+        # A done marker carries its chunk's results, so a worker tells
+        # settled chunks apart by marker presence: with every chunk
+        # done, one scan parses the task file and nothing else.
+        queue = WorkQueue(tmp_path)
+        task_id = queue.publish_task(bare_task([[i] for i in range(16)]))
+        for chunk in range(16):
+            assert queue.write_marker(
+                task_id, chunk, "done", {"kind": "done", "results": [["x" * 64]]}
+            )
+        loads = []
+
+        def counting_load(path):
+            loads.append(Path(path).name)
+            return load_sidecar(path)
+
+        monkeypatch.setattr(distributed_module, "load_sidecar", counting_load)
+        assert QueueWorker(queue, "w").step() is None
+        assert len(loads) <= 2, loads
+
     def test_torn_worker_heartbeat_reads_as_absent(self, tmp_path):
         queue = WorkQueue(tmp_path)
         (queue.workers_dir / "w1.json").write_text('{"beat": ')
@@ -544,6 +564,67 @@ class TestDistributedSupervised:
         assert torn
         assert any(e.kind == "lease_reclaim" for e in outcome.events)
         assert _dicts(outcome) == reference
+
+    def test_damaged_done_marker_is_cleared_and_rerun(self, tmp_path, monkeypatch):
+        # Workers skip a chunk whose done marker merely exists; one that
+        # is truncated before the coordinator reads it must not strand
+        # the chunk. The coordinator clears it, a worker runs the chunk
+        # again, and the archive is the serial one.
+        spec = ExperimentSpec(
+            name="clique_algorithm1",
+            workload=small_workload(),
+            protocol="algorithm1",
+            trials=4,
+            runner_params=PARAMS,
+        )
+        alone = solo_archives([spec], 7, tmp_path / "alone")
+        queue = WorkQueue(tmp_path / "queue")
+        (alpha,) = start_workers(queue, "alpha")
+        pump = WorkerPump([alpha])
+        damaged = []
+
+        def pump_then_truncate(delay: float) -> None:
+            pump(delay)
+            for task_id in queue.list_tasks():
+                path = queue.marker_path(task_id, 0, "done")
+                if not damaged and path.exists():
+                    path.write_bytes(path.read_bytes()[:40])
+                    damaged.append(path)
+
+        monkeypatch.setattr(
+            supervisor_module,
+            "run_trial_group",
+            functools.partial(
+                supervisor_module.run_trial_group, sleep=pump_then_truncate
+            ),
+        )
+        errors = []
+
+        def coordinate() -> None:
+            try:
+                run_batch(
+                    [spec],
+                    base_seed=7,
+                    output_dir=tmp_path / "sharded",
+                    chunk_size=2,
+                    queue_dir=tmp_path / "queue",
+                    lease=FAST_LEASE,
+                )
+            except Exception as exc:  # re-raised below, in the test's thread
+                errors.append(exc)
+
+        # A coordinator that keeps finding the damaged marker never
+        # sleeps, so the pump's round cap cannot stop it: bound the join.
+        coordinator = threading.Thread(target=coordinate, daemon=True)
+        coordinator.start()
+        coordinator.join(timeout=60)
+        assert not coordinator.is_alive(), "coordinator stuck on a damaged marker"
+        if errors:
+            raise errors[0]
+        assert damaged
+        assert alpha.executed == 3  # two chunks, the damaged one twice
+        assert experiment_files(tmp_path / "sharded") == alone
+        assert verify_archive(tmp_path / "sharded").ok
 
     def test_lease_steal_chaos(self, network, reference, tmp_path):
         # A ghost holds the lease on chunk 0; lease-steal chaos rips it

@@ -35,6 +35,7 @@ import pytest
 from repro.faults.presets import fault_preset
 from repro.net import M2HeWNetwork, build_network, channels, topology
 from repro.sim.fast_slotted import FastSlottedSimulator
+from repro.sim.results import DiscoveryResult
 from repro.sim.rng import RngFactory
 from repro.sim.runner import _vector_schedule
 from repro.sim.stopping import StoppingCondition
@@ -163,7 +164,10 @@ GOLDEN_DIGESTS: Dict[str, str] = {
 }
 
 
-def fast_digest(case: Case) -> str:
+@lru_cache(maxsize=None)
+def fast_result(name: str) -> DiscoveryResult:
+    """The named case's result (cached: the archive-writer tests render it)."""
+    case = CASES[name]
     net = network(case.net)
     sim = FastSlottedSimulator(
         net,
@@ -173,20 +177,23 @@ def fast_digest(case: Case) -> str:
         erasure_prob=case.erasure_prob,
         faults=fault_preset(case.faults) if case.faults else None,
     )
-    result = sim.run(
+    return sim.run(
         StoppingCondition(max_slots=case.max_slots, stop_on_full_coverage=case.stop)
     )
-    text = json.dumps(result.to_dict(), sort_keys=True)
+
+
+def fast_digest(name: str) -> str:
+    text = json.dumps(fast_result(name).to_dict(), sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fast_engine_matches_golden(name):
-    assert fast_digest(CASES[name]) == GOLDEN_DIGESTS[name]
+    assert fast_digest(name) == GOLDEN_DIGESTS[name]
 
 
 if __name__ == "__main__":
     print("GOLDEN_DIGESTS: Dict[str, str] = {")
     for name in sorted(CASES):
-        print(f'    "{name}": "{fast_digest(CASES[name])}",')
+        print(f'    "{name}": "{fast_digest(name)}",')
     print("}")

@@ -2,11 +2,75 @@
 
 from __future__ import annotations
 
+import itertools
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.exceptions import ConfigurationError
 from repro.net import topology
+
+
+class PresetRng:
+    """Stands in for a Generator: hands out preset placements and ranges."""
+
+    def __init__(self, coords, ranges=()):
+        self.coords = np.array(coords, dtype=float).reshape(-1, 2)
+        self.ranges = list(ranges)
+
+    def uniform(self, low, high, size=None):
+        if size is not None:
+            return self.coords
+        return self.ranges.pop(0)
+
+
+# Eighths are exact in binary, so 3-4-5 triangles and axis-aligned
+# neighbours land exactly on a radius of eighths.
+eighths = st.integers(0, 8).map(lambda k: k / 8)
+coordinates = st.one_of(eighths, st.floats(0.0, 1.0))
+placements = st.integers(1, 14).flatmap(
+    lambda n: st.lists(st.tuples(coordinates, coordinates), min_size=n, max_size=n)
+)
+
+
+class TestUnitDiskPairs:
+    """Row-wise distances give the pairs of the scalar per-pair loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(placements, st.one_of(eighths.filter(bool), st.floats(0.01, 1.5)))
+    def test_random_geometric(self, coords, radius):
+        topo = topology.random_geometric(len(coords), radius, PresetRng(coords))
+        points = np.array(coords, dtype=float)
+        assert topo.pairs == [
+            (u, v)
+            for u, v in itertools.combinations(range(len(coords)), 2)
+            if np.hypot(*(points[u] - points[v])) <= radius
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(placements, st.data())
+    def test_asymmetric_random_geometric(self, coords, data):
+        n = len(coords)
+        ranges = data.draw(
+            st.lists(st.one_of(eighths.filter(bool), st.floats(0.01, 1.5)), min_size=n, max_size=n)
+        )
+        topo = topology.asymmetric_random_geometric(
+            n, 0.01, 1.5, PresetRng(coords, ranges)
+        )
+        points = np.array(coords, dtype=float)
+        assert topo.pairs == [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if u != v and np.hypot(*(points[u] - points[v])) <= ranges[u]
+        ]
+
+    def test_exact_radius_tie_is_a_link(self):
+        coords = [(0.0, 0.0), (0.375, 0.5), (1.0, 1.0)]  # 0.625 apart
+        topo = topology.random_geometric(3, 0.625, PresetRng(coords))
+        assert topo.pairs == [(0, 1)]
 
 
 class TestTopologyDataclass:
