@@ -17,6 +17,12 @@ unprofiled and asserts the results are identical. That pins the
 "profiling cannot perturb a run" guarantee with real campaigns, not
 just unit fixtures.
 
+The record also times the Algorithm 4 cell of the end-to-end
+``paper_campaign`` workload — ``adversarial_heterogeneous``, 2 trials,
+through the campaign's own trial path — as the asynchronous engine's
+cost per frame: ``async_frames`` (full frames run, summed over nodes and
+trials) and ``async_us_per_frame`` (wall-clock µs per frame).
+
 Run directly (``PYTHONPATH=src python benchmarks/bench_slot_profile.py``)
 or via pytest-benchmark.
 """
@@ -24,6 +30,7 @@ or via pytest-benchmark.
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -34,8 +41,9 @@ from repro.sim.batched import GridBatchedSimulator, GridCell
 from repro.sim.fast_slotted import FastSlottedSimulator
 from repro.sim.profile import PHASES
 from repro.sim.rng import RngFactory, derive_trial_seed
-from repro.sim.runner import _vector_schedule
+from repro.sim.runner import _vector_schedule, run_experiment_trial
 from repro.sim.stopping import StoppingCondition
+from repro.workloads import scenario
 
 #: The bench point: the N=500 row of ``bench_batched.SIZES`` — large
 #: enough that every phase does real work (sparse reception, multi-KB
@@ -45,6 +53,9 @@ UNIVERSAL = 12
 PER_NODE = 4
 SLOTS = 500
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_slot_profile.json"
+#: paper_campaign's Algorithm 4 cell.
+ASYNC_SCENARIO = "adversarial_heterogeneous"
+ASYNC_TRIALS = 2
 
 
 def _factories():
@@ -92,6 +103,25 @@ def _profiled_runs():
     }
 
 
+def _async_cell():
+    """Run the Algorithm 4 cell; return its full frames and wall seconds."""
+    scen = scenario(ASYNC_SCENARIO)
+    net = scen.build(BASE_SEED)
+    frames = 0
+    seconds = 0.0
+    for trial in range(ASYNC_TRIALS):
+        start = time.perf_counter()
+        result = run_experiment_trial(
+            net,
+            "algorithm4",
+            seed=derive_trial_seed(BASE_SEED, trial),
+            runner_params={"delta_est": scen.delta_est},
+        )
+        seconds += time.perf_counter() - start
+        frames += sum(result.metadata["full_frames_since_ts"].values())
+    return frames, seconds
+
+
 def _phase_rows(profile):
     ordered = [p for p in PHASES if p in profile]
     ordered += sorted(set(profile) - set(PHASES))
@@ -120,7 +150,12 @@ def run_experiment() -> dict:
         net, [GridCell(schedule, _factories())]
     ).run(stopping)
 
+    async_frames, async_seconds = _async_cell()
     record = {
+        "async_frames": async_frames,
+        "async_scenario": ASYNC_SCENARIO,
+        "async_trials": ASYNC_TRIALS,
+        "async_us_per_frame": round(1e6 * async_seconds / async_frames, 3),
         "benchmark": "slot_profile",
         "protocol": PROTOCOL,
         "trials": TRIALS,
@@ -160,6 +195,8 @@ def test_slot_profile(benchmark):
         assert set(PHASES) <= phases, (side, phases)
         assert all(r["laps"] > 0 for r in rows)
         assert abs(sum(r["share"] for r in rows) - 1.0) < 0.01
+    assert record["async_frames"] > 0
+    assert record["async_us_per_frame"] > 0
 
 
 if __name__ == "__main__":

@@ -66,7 +66,7 @@ class AsyncFrameDiscovery(UniformChannelMixin, AsynchronousProtocol):
 
     @property
     def frame_transmit_probability(self) -> float:
-        """``min(1/2, |A(u)| / (3 Δ_est))``."""
+        """``min(1/2, |A(u)| / (3 Δ_est))``, the same in every frame."""
         return self._p
 
     def decide_frame(self, local_frame: int) -> FrameDecision:

@@ -194,6 +194,24 @@ class AsynchronousProtocol(DiscoveryProtocol):
     def decide_frame(self, local_frame: int) -> FrameDecision:
         """Decision for the node's ``local_frame``-th frame (0-based)."""
 
+    @property
+    def frame_transmit_probability(self) -> Optional[float]:
+        """Per-frame transmit probability, if the protocol fits the
+        "uniform random channel + Bernoulli transmit" template.
+
+        A protocol that returns a probability declares that
+        :meth:`decide_frame` is exactly that template, the same in every
+        frame and drawn from the stream it was constructed with:
+        ``integers(0, |A(u)|)`` indexes the sorted ``A(u)``, then
+        ``random() < p`` transmits and anything else listens. The
+        asynchronous engine then decodes the node's decisions a block of
+        frames at a time from that stream instead of calling
+        :meth:`decide_frame` (:mod:`repro.sim.async_engine`). Protocols
+        with a different structure (e.g. the self-terminating wrapper,
+        which plays QUIET frames) return ``None``.
+        """
+        return None
+
 
 class UniformChannelMixin:
     """Shared implementation of the paper's slot template.

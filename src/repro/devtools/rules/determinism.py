@@ -278,19 +278,30 @@ def _axis_refs(node: ast.AST) -> Set[str]:
     return refs
 
 
-#: Function names (substrings) that run once per simulated slot or block
-#: of slots: the reference engine's slot body, and the grid engine's
-#: block body and its two draw steps.
-_HOT_PATHS = ("_run_slot", "_run_block", "_draw_block", "_draw_slot")
+#: Function names (substrings) that run once per simulated slot, frame
+#: or block of them: the reference engine's slot body, the grid engine's
+#: block body and its two draw steps, and the asynchronous engine's
+#: per-frame body and its block decode of frame decisions.
+_HOT_PATHS = (
+    "_run_slot",
+    "_run_block",
+    "_draw_block",
+    "_draw_slot",
+    "_begin_frame",
+    "_end_frame",
+    "_draw_frames",
+)
 
 
 class DensePerSlotAllocation(Rule):
     rule_id = "D107"
     title = "dense O(N²) allocation inside a per-slot hot path"
     rationale = (
-        "A `_run_slot` body executes once per simulated slot, and the grid "
+        "A `_run_slot` body executes once per simulated slot, the grid "
         "engine's `_run_block` (with `_draw_block`/`_draw_slot`) once per "
-        "block of slots; allocating a buffer whose shape repeats a size "
+        "block of slots, and the asynchronous engine's `_begin_frame`/"
+        "`_end_frame` once per frame (with `_draw_frames` once per block "
+        "of frames); allocating a buffer whose shape repeats a size "
         "variable (N×N, C×N×N, …) there makes every slot or block cost "
         "O(N²) in allocator traffic regardless of how few nodes act. Hoist "
         "the buffer to __init__ or resolve reception sparsely "

@@ -63,6 +63,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..exceptions import ConfigurationError
+from ..net.network import M2HeWNetwork
+from ..net.serialization import network_from_json
 from ..sim.parallel import _ChunkPayload, _run_chunk
 from ..sim.results import result_from_dict
 from ..sim.rng import derive_trial_seed
@@ -431,6 +433,10 @@ class QueueWorker:
         self.on_claimed = on_claimed
         self.beats = 0
         self.executed = 0
+        # The last network decoded, with the text it came from: a task's
+        # chunks all carry one network, so the worker decodes it once per
+        # task rather than once per chunk.
+        self._network: Optional[Tuple[str, M2HeWNetwork]] = None
 
     def heartbeat(self) -> None:
         """Publish liveness: the beat counter is what observers watch change."""
@@ -504,7 +510,7 @@ class QueueWorker:
             attempt=attempt,
         )
         try:
-            results = _run_chunk(payload, str(task["network"]))
+            results = _run_chunk(payload, self._decoded_network(str(task["network"])))
         except Exception as exc:
             wrote = self.queue.write_marker(
                 task_id,
@@ -538,6 +544,13 @@ class QueueWorker:
         self.executed += 1
         status = "done" if wrote else "retracted"
         return f"{task_id}/chunk-{chunk_no}: {status}"
+
+    def _decoded_network(self, text: str) -> M2HeWNetwork:
+        """The network ``text`` encodes, decoded once for consecutive
+        chunks that carry the same text."""
+        if self._network is None or self._network[0] != text:
+            self._network = (text, network_from_json(text))
+        return self._network[1]
 
 
 @dataclass

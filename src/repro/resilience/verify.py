@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Union
 
 from ..exceptions import ArchiveCorruptionError
-from .atomic import sha256_of_file
+from .atomic import sha256_of_bytes
 from .checkpoint import JOURNAL_SUFFIX
 
 __all__ = [
@@ -207,6 +207,8 @@ def _verify_experiment_file(
         )
         return
     report.files_checked += 1
+    # One read serves the hash and the parse.
+    data = path.read_bytes()
 
     expected = entry.get("sha256")
     if not isinstance(expected, str):
@@ -218,7 +220,7 @@ def _verify_experiment_file(
             )
         )
     else:
-        actual = sha256_of_file(path)
+        actual = sha256_of_bytes(data)
         if actual != expected:
             report.issues.append(
                 VerificationIssue(
@@ -229,7 +231,9 @@ def _verify_experiment_file(
             )
 
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        text = data.decode("utf-8")
+        del data  # not held alongside the parsed payload
+        payload = json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         report.issues.append(
             VerificationIssue(

@@ -74,6 +74,7 @@ import numpy as np
 from ..core.params import stage_length, validate_delta_est
 from ..exceptions import ConfigurationError
 from ..net.network import M2HeWNetwork
+from .draws import _HIGH, _LOW32, _prove_decode, _scalar_picks
 from .profile import SlotProfiler
 from .results import DiscoveryResult
 from .rng import RngFactory
@@ -402,85 +403,19 @@ _BLOCK_CELLS = 1 << 15
 #: Most miss hypotheses one decode round tries (see ``_draw_block``).
 _MAX_HYPOTHESES = 4
 
-_LOW32 = np.uint64(0xFFFFFFFF)
-_HIGH = np.uint64(32)
-_TO_DOUBLE = 1.0 / 9007199254740992.0  # 2**-53
-
-
-def _scalar_picks(
-    draw: Any, sizes: np.ndarray, has_spare: int, spare: int
-) -> Tuple[np.ndarray, int, int]:
-    """One ``integers(0, sizes)`` call decoded from raw 64-bit words.
-
-    ``draw(1)`` returns the next word. Each node with ``|A(u)| > 1``
-    takes 32-bit halves, low half first, the spare half of an earlier
-    word first of all; a half ``h`` picks ``(h·size) >> 32`` unless the
-    low 32 bits of that product fall below ``(2³² − size) mod size``
-    (Lemire's rejection), which takes another half. ``|A(u)| = 1`` draws
-    nothing. Returns the picks and the spare half left, as
-    ``(picks, has_spare, spare)``.
-    """
-    picks = np.zeros(sizes.size, dtype=np.int64)
-    for i, size in enumerate(sizes.tolist()):
-        if size == 1:
-            continue
-        threshold = ((1 << 32) - size) % size
-        while True:
-            if has_spare:
-                half, has_spare = spare, 0
-            else:
-                word = int(draw(1)[0])
-                half, has_spare, spare = word & 0xFFFFFFFF, 1, word >> 32
-            product = half * size
-            if product & 0xFFFFFFFF >= threshold:
-                break
-        picks[i] = product >> 32
-    return picks, has_spare, spare
-
 
 def _decode_proven(
     stream: np.random.Generator, sizes: np.ndarray
 ) -> Optional[Tuple[int, int]]:
-    """Prove the raw-word draw decode on copies of ``stream``'s state.
-
-    Replays three slots of the engine's generator calls, ``random(N)``
-    then ``integers(0, sizes)``, on one copy and decodes the same values
-    from ``random_raw`` words of another: a double is
-    ``(word >> 11)·2⁻⁵³``, one word each, and picks follow
-    :func:`_scalar_picks`, so an odd half count leaves a spare half that
-    the next uniforms skip and the next picks take first. The decode is
-    accepted only when every value matches and both copies end in the
-    same state, spare half included; the live stream is never advanced.
+    """Prove the block decode on a copy of ``stream``'s state
+    (:func:`~repro.sim.draws._prove_decode`) over three slots of the
+    engine's generator calls, ``random(N)`` then ``integers(0, sizes)``.
 
     Returns the live stream's pending spare half as ``(has_spare,
     spare)``, or ``None`` when the proof fails (the engine then keeps the
     generator calls, one slot per block).
     """
-    bg = stream.bit_generator
-    try:
-        state = bg.state
-        has_spare, spare = int(state["has_uint32"]), int(state["uinteger"])
-        ref_bg = type(bg)(0)
-        ref_bg.state = state
-        raw_bg = type(bg)(0)
-        raw_bg.state = state
-    except (KeyError, TypeError, ValueError):
-        return None
-    ref = np.random.Generator(ref_bg)
-    has, value = has_spare, spare
-    for _ in range(3):
-        uniforms = (raw_bg.random_raw(sizes.size) >> 11) * _TO_DOUBLE
-        if not np.array_equal(ref.random(sizes.size), uniforms):
-            return None
-        picks, has, value = _scalar_picks(raw_bg.random_raw, sizes, has, value)
-        if not np.array_equal(ref.integers(0, sizes), picks):
-            return None
-    end = ref_bg.state
-    if end["state"] != raw_bg.state["state"] or end["has_uint32"] != has:
-        return None
-    if has and end["uinteger"] != value:
-        return None
-    return has_spare, spare
+    return _prove_decode(stream, (("random", sizes.size), ("integers", sizes)) * 3)
 
 
 class GridBatchedSimulator:

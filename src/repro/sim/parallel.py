@@ -127,8 +127,9 @@ def _run_chunk(
 ) -> List[List[DiscoveryResult]]:
     """Run one chunk through the grid engine: results per entry, in trial order.
 
-    ``network`` is the live object when the chunk runs in-process, its
-    JSON form when it ran through a pool or a work queue.
+    ``network`` is the live object when the chunk runs in-process or on
+    a queue worker (which decodes each task's network once), its JSON
+    form when it runs in a pool.
     """
     if payload.chaos is not None:
         # Raises or kills the worker when the plan covers this attempt;

@@ -136,8 +136,12 @@ def case_run(name: str) -> Tuple[DiscoveryResult, Dict[str, Any]]:
 
 
 def digest(name: str) -> str:
+    """The named case's digest (:func:`run_digest` of its cached run)."""
+    return run_digest(*case_run(name))
+
+
+def run_digest(result: DiscoveryResult, extras: Dict[str, Any]) -> str:
     """sha256 of the JSON-ready payload: the result, plus any extras."""
-    result, extras = case_run(name)
     payload = {"result": result.to_dict(), **extras} if extras else result.to_dict()
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -245,6 +245,22 @@ class TestD107DensePerSlotAllocation:
         """
         assert "D107" in rule_ids(check(src, rule="D107"))
 
+    def test_flags_dense_alloc_in_async_frame_path(self):
+        # The asynchronous engine's per-frame body and its block decode
+        # of frame decisions are hot paths too.
+        src = """
+        import numpy as np
+
+        class AsyncEngine:
+            def _begin_frame(self, nid):
+                return np.zeros((self._n, self._n), dtype=bool)
+
+        def _draw_frames(raw, channels, n):
+            return np.empty((n, n))
+        """
+        findings = check(src, rule="D107")
+        assert [f.rule_id for f in findings] == ["D107", "D107"]
+
     def test_linear_alloc_passes(self):
         src = """
         import numpy as np

@@ -27,7 +27,7 @@ import pytest
 import repro.resilience.distributed as distributed_module
 import repro.resilience.supervisor as supervisor_module
 from repro.exceptions import ConfigurationError
-from repro.net.serialization import network_to_json
+from repro.net.serialization import network_from_json, network_to_json
 from repro.resilience import (
     QUEUE_SCHEMA_VERSION,
     GroupEntry,
@@ -413,6 +413,49 @@ class TestDistributedSupervised:
         assert [e.as_dict() for e in outcome.events if e.kind == "retry"] == []
         assert len(claimed) == 2 // chunk_size
         assert experiment_files(tmp_path / "sharded") == alone
+
+    def test_worker_decodes_a_task_network_once(self, tmp_path, monkeypatch):
+        # Every chunk of a 16-chunk task carries the same network text:
+        # the worker decodes it for its first chunk and reuses the object
+        # for the other 15, and the archive still equals the serial one.
+        spec = ExperimentSpec(
+            name="clique_decoded_once",
+            workload=small_workload(),
+            protocol="algorithm3",
+            trials=16,
+            runner_params=PARAMS,
+        )
+        serial = solo_archives([spec], 7, tmp_path / "serial")
+        decodes = []
+
+        def counting_decode(text):
+            decodes.append(len(text))
+            return network_from_json(text)
+
+        monkeypatch.setattr(distributed_module, "network_from_json", counting_decode)
+        queue = WorkQueue(tmp_path / "queue")
+        claimed = []
+        (alpha,) = start_workers(
+            queue, "alpha", on_claimed=lambda _task, chunk: claimed.append(chunk)
+        )
+        monkeypatch.setattr(
+            supervisor_module,
+            "run_trial_group",
+            functools.partial(
+                supervisor_module.run_trial_group, sleep=WorkerPump([alpha])
+            ),
+        )
+        run_batch(
+            [spec],
+            base_seed=7,
+            output_dir=tmp_path / "sharded",
+            chunk_size=1,
+            queue_dir=tmp_path / "queue",
+            lease=FAST_LEASE,
+        )
+        assert sorted(claimed) == list(range(16))
+        assert len(decodes) == 1
+        assert experiment_files(tmp_path / "sharded") == serial
 
     def test_queue_needs_integer_base_seed(self, network, tmp_path):
         # Workers re-derive seeds from the task's base seed; None would

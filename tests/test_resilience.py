@@ -3,6 +3,9 @@ retry policy, chaos plans, checkpoint journals and archive verification."""
 
 from __future__ import annotations
 
+import builtins
+import collections
+import io
 import json
 import os
 
@@ -327,6 +330,30 @@ class TestVerifyArchive:
         )
         report = verify_archive(tmp_path)
         assert any(i.kind == "schema" for i in report.issues)
+
+    def test_each_experiment_file_read_once(self, tmp_path, monkeypatch):
+        # The checksum and the parse share one read of each file.
+        _write_archive(
+            tmp_path, payloads={"e1": {"trials": []}, "e2": {"trials": [1, 2]}}
+        )
+        opened = collections.Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened[os.path.basename(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert verify_archive(tmp_path).ok
+        assert opened["e1.json"] == opened["e2.json"] == 1
+
+    def test_non_utf8_experiment_file(self, tmp_path):
+        _write_archive(tmp_path, payloads={"e1": {"trials": []}})
+        (tmp_path / "e1.json").write_bytes(b'{"schema_version": "\xff"}')
+        kinds = sorted(i.kind for i in verify_archive(tmp_path).issues)
+        assert kinds == ["checksum_mismatch", "truncated"]
 
     def test_raise_if_corrupt(self, tmp_path):
         report = VerificationReport(directory=tmp_path)
